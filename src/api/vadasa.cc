@@ -17,8 +17,12 @@ std::string SessionOptions::GroupKey() const {
 }
 
 Result<SessionOptions> ValidateSessionOptions(SessionOptions options) {
-  // MakeRiskMeasure is the single source of truth for valid measure names.
+  // MakeRiskMeasure is the single source of truth for valid measure names;
+  // the declarative pipeline implements only a subset of them.
   VADASA_RETURN_NOT_OK(core::MakeRiskMeasure(options.risk_measure).status());
+  if (options.declarative) {
+    VADASA_RETURN_NOT_OK(core::ValidateBridgeMeasure(options.risk_measure));
+  }
   if (options.k < 1) {
     return Status::InvalidArgument("k must be >= 1, got " +
                                    std::to_string(options.k));
@@ -114,8 +118,8 @@ Status Session::Warm() {
   // Stats() go through the same collapse/aggregation machinery in the same
   // order as ComputeWarmGroupStats, so the warm stats are unchanged — but
   // keeping the index makes this session a delta base: Apply() patches it
-  // instead of re-collapsing the whole table. Under the columnar plane the
-  // index also materializes the shared view every later evaluation reads.
+  // instead of re-collapsing the whole table. The index also materializes
+  // the shared view every later evaluation reads.
   auto index =
       std::make_shared<core::GroupIndex>(*table_, qis, ctx.semantics);
   warm_ = std::shared_ptr<const core::GroupStats>(index, &index->Stats());
@@ -135,12 +139,11 @@ Result<Session> Session::Apply(const core::DeltaBatch& batch) const {
   child.dictionary_ = dictionary_;
   child.conflicts_ = conflicts_;
   child.options_ = options_;
-  // Incremental warm-state maintenance: a warmed parent on the active plane
-  // hands the child a delta-patched index — only groups the batch touched are
-  // re-aggregated. Stats() is forced before the child is published so the
-  // shared state is immutable from here on.
-  if (delta_index_ != nullptr &&
-      delta_index_->data_plane() == core::ActiveDataPlane()) {
+  // Incremental warm-state maintenance: a warmed parent hands the child a
+  // delta-patched index — only groups the batch touched are re-aggregated.
+  // Stats() is forced before the child is published so the shared state is
+  // immutable from here on.
+  if (delta_index_ != nullptr) {
     std::shared_ptr<core::GroupIndex> next_index =
         delta_index_->ApplyDelta(*child.table_, plan);
     child.warm_ = std::shared_ptr<const core::GroupStats>(next_index,

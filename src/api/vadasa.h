@@ -55,7 +55,8 @@ struct SessionOptions {
   std::string GroupKey() const;
 };
 
-/// Validates measure name, k and threshold ranges; returns the options
+/// Validates measure name (including that the declarative pipeline implements
+/// it when `declarative` is set), k and threshold ranges; returns the options
 /// unchanged on success.
 Result<SessionOptions> ValidateSessionOptions(SessionOptions options);
 
@@ -165,13 +166,12 @@ class Session {
   /// sampling weight returns TypeError, in both cases leaving nothing to
   /// observe.
   ///
-  /// Warm-state maintenance: when this session is Warm()ed on the active
-  /// data plane, the child inherits a delta-patched group index — only
-  /// groups the batch touches are re-aggregated, and the child's warm stats
-  /// are bit-identical to a cold Warm() over the post-delta table (the
-  /// delta-vs-full-recompute-bit-identical property pins this on both data
-  /// planes). Otherwise the child starts cold and the next Warm() pays the
-  /// full collapse. Dictionary, conflicts and options carry over unchanged.
+  /// Warm-state maintenance: when this session is Warm()ed, the child
+  /// inherits a delta-patched group index — only groups the batch touches
+  /// are re-aggregated, and the child's warm stats are bit-identical to a
+  /// cold Warm() over the post-delta table (the
+  /// delta-vs-full-recompute-bit-identical property pins this). Otherwise the
+  /// child starts cold and the next Warm() pays the full collapse. Dictionary, conflicts and options carry over unchanged.
   Result<Session> Apply(const core::DeltaBatch& batch) const;
 
   /// Precomputes the group statistics for this session's (table, AnonSet,
@@ -189,9 +189,9 @@ class Session {
     if (view != nullptr) warm_view_ = std::move(view);
   }
   const std::shared_ptr<const core::GroupStats>& warm_stats() const { return warm_; }
-  /// The shared columnar materialization created by Warm() under the
-  /// columnar plane (null otherwise) — handed to sibling sessions alongside
-  /// the warm stats so a batch interns each column once.
+  /// The shared columnar materialization created by Warm() (null before) —
+  /// handed to sibling sessions alongside the warm stats so a batch interns
+  /// each column once.
   const std::shared_ptr<const core::ColumnarView>& warm_view() const {
     return warm_view_;
   }

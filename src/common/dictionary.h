@@ -19,6 +19,24 @@ inline constexpr uint32_t kNullCodeBase = 0x80000000u;
 
 inline constexpr bool IsNullCode(uint32_t code) { return code >= kNullCodeBase; }
 
+/// splitmix64-style hash over a packed code row — the key hash of every
+/// code-space grouping table (pattern collapse, projection indexes, SUDA
+/// counts). Only hash-table layout depends on it, never results; equality is
+/// plain vector equality, which coincides with Value::Equals on the decoded
+/// cells.
+struct CodeVecHash {
+  size_t operator()(const std::vector<uint32_t>& v) const {
+    uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
+    for (const uint32_t x : v) {
+      uint64_t z = (h ^ x) + 0x9e3779b97f4a7c15ULL;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+      h = z ^ (z >> 31);
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
 /// A term interner: maps each distinct Value to a dense uint32_t code such
 /// that code equality coincides exactly with Value::Equals — including the
 /// cross-kind numeric identity Int(2) == Double(2.0), which the underlying

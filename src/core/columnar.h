@@ -11,25 +11,6 @@
 
 namespace vadasa::core {
 
-/// Which data plane the grouping/risk hot paths run on.
-///
-/// The columnar plane (default) materializes QI columns into dictionary
-/// codes once and groups/hashes/compares packed uint32_t rows; the row plane
-/// is the original Value-vector implementation, kept as the differential
-/// reference for the `columnar-vs-row-bit-identical` property. Both planes
-/// produce bit-identical results by construction (same pattern order, same
-/// floating-point accumulation order).
-enum class DataPlane {
-  kColumnar,
-  kRow,
-};
-
-/// The active plane: VADASA_DATA_PLANE=row in the environment selects the
-/// row plane at startup, otherwise columnar. SetDataPlane overrides at
-/// runtime (differential tests); returns the previous plane.
-DataPlane ActiveDataPlane();
-DataPlane SetDataPlane(DataPlane plane);
-
 /// A columnar (SoA) materialization of a MicrodataTable: one dense
 /// uint32_t code array per column, one Dictionary per column as the decode
 /// table, plus the row weights as a flat double array. The table stays the

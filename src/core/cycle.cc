@@ -15,26 +15,6 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-std::vector<Value> QiPattern(const MicrodataTable& table,
-                             const std::vector<size_t>& qis, size_t row) {
-  std::vector<Value> p;
-  p.reserve(qis.size());
-  for (const size_t c : qis) p.push_back(table.cell(row, c));
-  return p;
-}
-
-bool MaybeMatchesAny(const std::vector<Value>& pattern,
-                     const std::vector<std::vector<Value>>& others) {
-  for (const auto& o : others) {
-    bool match = true;
-    for (size_t i = 0; i < pattern.size() && match; ++i) {
-      match = pattern[i].MaybeEquals(o[i]);
-    }
-    if (match) return true;
-  }
-  return false;
-}
-
 /// Code-space QI projection of a row's *current* cells. Translated through
 /// the view's dictionaries (CodeForQuery) rather than read from the code
 /// arrays, because the shared view is only refreshed at iteration end while
@@ -166,14 +146,11 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table) {
         OrderRiskyTuples(*table, risky, risks, options_.tuple_order);
     // What-if oracle for the QI-choice heuristic: the cache's incremental
     // index. Updates are batched to the end of the iteration, so mid-iteration
-    // queries see the iteration-start state — exactly the snapshot the
-    // per-iteration PatternUniverse used to provide.
+    // queries see the iteration-start state.
     const PatternOracle& universe = cache.Index(*table, qis, options_.risk.semantics);
-    // Group-touch guard state: QI patterns anonymized earlier this iteration.
-    // Under the columnar plane the guard compares packed dictionary codes;
-    // under the row plane it compares Values. Same maybe-match relation.
+    // Group-touch guard state: QI patterns (as packed dictionary codes)
+    // anonymized earlier this iteration.
     const std::shared_ptr<const ColumnarView> guard_view = cache.SharedView(*table);
-    std::vector<std::vector<Value>> touched_patterns;
     std::vector<std::vector<uint32_t>> touched_codes;
     std::vector<uint32_t> iteration_changed;
     bool progressed = false;
@@ -181,12 +158,8 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table) {
     for (const size_t r : order) {
       if (!options_.single_step && !cluster_elevated[r] &&
           options_.risk.semantics == NullSemantics::kMaybeMatch) {
-        const bool touched =
-            guard_view != nullptr
-                ? MaybeMatchesAnyCodes(QiCodePattern(*guard_view, *table, qis, r),
-                                       touched_codes)
-                : MaybeMatchesAny(QiPattern(*table, qis, r), touched_patterns);
-        if (touched) {
+        if (MaybeMatchesAnyCodes(QiCodePattern(*guard_view, *table, qis, r),
+                                 touched_codes)) {
           // An earlier step this iteration may already have widened this
           // tuple's group; re-check at the next risk evaluation.
           continue;
@@ -226,11 +199,7 @@ Result<CycleStats> AnonymizationCycle::Run(MicrodataTable* table) {
       }
       if (options_.single_step) break;  // Paper-literal: back to risk eval.
       if (step.affected_rows > 1) break;  // Global recoding: groups shifted broadly.
-      if (guard_view != nullptr) {
-        touched_codes.push_back(QiCodePattern(*guard_view, *table, qis, r));
-      } else {
-        touched_patterns.push_back(QiPattern(*table, qis, r));
-      }
+      touched_codes.push_back(QiCodePattern(*guard_view, *table, qis, r));
     }
     meters.anonymize_seconds->Record(SecondsSince(t_anon));
     if (!iteration_changed.empty()) {

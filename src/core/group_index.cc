@@ -11,24 +11,18 @@
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 
-// Dual-plane grouping
+// Code-space grouping
 // -------------------
-// The pattern machinery below is templated on a "plane": the representation
-// rows are projected into before grouping. The row plane keys patterns on
-// std::vector<Value> (the original implementation, kept as the differential
-// reference); the columnar plane keys them on std::vector<uint32_t>
-// dictionary codes read out of a ColumnarView, which turns per-cell variant
-// hashing and comparison into flat word operations.
-//
-// Both planes run the *same* algorithm skeleton — identical shard
-// decomposition, identical first-occurrence pattern order, identical
-// ascending-row weight accumulation, identical ascending-class-mask
-// aggregation — and code equality coincides with Value::Equals exactly (the
+// Rows are projected onto packed dictionary codes read out of a ColumnarView
+// and grouped on those keys: code equality coincides with Value::Equals (the
 // Dictionary interns through ValueHash/Equals, and labelled nulls get one
-// code per label in a reserved band). No output depends on a hash table's
-// iteration order or on the numeric value of a code, so the two planes are
-// bit-identical by construction; the `columnar-vs-row-bit-identical`
-// property in src/testing/properties.cc enforces this end to end.
+// code per label in a reserved band), so per-cell variant hashing and
+// comparison become flat word operations. No output depends on a hash
+// table's iteration order or on the numeric value of a code: pattern order is
+// first occurrence, weights accumulate in ascending row order and classes in
+// ascending mask order. The `grouping-matches-reference-oracle` property in
+// src/testing/properties.cc checks the result against a literal pairwise
+// implementation of the match relation (src/testing/reference_grouping.h).
 
 namespace vadasa::core {
 
@@ -39,73 +33,14 @@ namespace {
 /// result — is identical for every thread count.
 constexpr size_t kCollapseGrain = 2048;
 
-struct VecHash {
-  size_t operator()(const std::vector<Value>& v) const { return HashValues(v); }
-};
-struct VecEq {
-  bool operator()(const std::vector<Value>& a, const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!a[i].Equals(b[i])) return false;
-    }
-    return true;
-  }
-};
+using Key = std::vector<uint32_t>;
 
-/// splitmix64-style mix over packed code rows. Only hash-table layout depends
-/// on this, never results.
-struct CodeVecHash {
-  size_t operator()(const std::vector<uint32_t>& v) const {
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
-    for (const uint32_t x : v) {
-      uint64_t z = (h ^ x) + 0x9e3779b97f4a7c15ULL;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<size_t>(h);
-  }
-};
-struct CodeVecEq {
-  bool operator()(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) const {
-    return a == b;
-  }
-};
-
-/// The original Value-space plane. Keys are QI projections of the table rows;
-/// equality/hashing go through Value (cross-kind numeric identity included).
-struct RowPlane {
-  using Key = std::vector<Value>;
-  using Hash = VecHash;
-  using Eq = VecEq;
-
-  const MicrodataTable* table = nullptr;
-  const std::vector<size_t>* qis = nullptr;
-
-  void Bind(const MicrodataTable& t, const std::vector<size_t>& q) {
-    table = &t;
-    qis = &q;
-  }
-  Key MakeKey(size_t r) const {
-    Key p;
-    p.reserve(qis->size());
-    for (const size_t c : *qis) p.push_back(table->cell(r, c));
-    return p;
-  }
-  double Weight(size_t r) const { return table->RowWeight(r); }
-  static bool IsNull(const Value& v) { return v.is_null(); }
-};
-
-/// The code-space plane. Keys are packed dictionary codes read from a
-/// ColumnarView; labelled nulls live in the reserved code band so the null
-/// test is one unsigned compare. Bind caches raw pointers to the code and
-/// weight arrays — UpdateRows rewrites them in place and never reallocates,
-/// so the pointers stay valid for the life of the binding.
-struct ColumnarPlane {
-  using Key = std::vector<uint32_t>;
-  using Hash = CodeVecHash;
-  using Eq = CodeVecEq;
-
+/// The rows of a table projected onto a QI list, read from a ColumnarView;
+/// labelled nulls live in the reserved code band so the null test is one
+/// unsigned compare. Bind caches raw pointers to the code and weight arrays —
+/// UpdateRows rewrites them in place and never reallocates, so the pointers
+/// stay valid for the life of the binding.
+struct CodeRows {
   std::shared_ptr<const ColumnarView> view;
   std::vector<const uint32_t*> cols;
   const double* weights = nullptr;
@@ -124,25 +59,22 @@ struct ColumnarPlane {
     return p;
   }
   double Weight(size_t r) const { return weights[r]; }
-  static bool IsNull(uint32_t code) { return IsNullCode(code); }
 };
 
 /// Null positions of a key, confined to the mask width: bit i is set iff
 /// key[i] is null and i < kMaxMaybeMatchQis. The explicit bound keeps
 /// `1u << i` defined for arbitrarily wide AnonSets (ValidateQiWidth rejects
 /// maybe-match grouping beyond the mask width at the risk-measure level).
-template <class Plane>
-uint32_t NullMaskOfKey(const typename Plane::Key& key) {
+uint32_t NullMaskOfKey(const Key& key) {
   uint32_t mask = 0;
   const size_t limit = std::min(key.size(), kMaxMaybeMatchQis);
   for (size_t i = 0; i < limit; ++i) {
-    if (Plane::IsNull(key[i])) mask |= (1u << i);
+    if (IsNullCode(key[i])) mask |= (1u << i);
   }
   return mask;
 }
 
 /// Projection of a key onto the positions NOT in `mask`.
-template <class Key>
 Key ProjectOutKey(const Key& key, uint32_t mask) {
   Key out;
   out.reserve(key.size());
@@ -156,39 +88,28 @@ Key ProjectOutKey(const Key& key, uint32_t mask) {
 
 using ProjIndexKey = std::pair<uint32_t, uint32_t>;  // (class mask, union mask)
 
-/// Plane-dependent container types of the pattern machinery.
-template <class Plane>
-struct PlaneTraits {
-  using Key = typename Plane::Key;
-  struct PatternInfo {
-    Key pattern;
-    uint32_t null_mask = 0;  // Bit i set iff pattern[i] is a labelled null.
-    double count = 0.0;
-    double weight_sum = 0.0;
-    std::vector<uint32_t> rows;  // Ascending.
-  };
-  using KeyIdMap = std::unordered_map<Key, size_t, typename Plane::Hash, typename Plane::Eq>;
-  /// Projection index of one null-mask class under one union mask:
-  /// projected key -> (count, weight) totals.
-  using ProjIndex =
-      std::unordered_map<Key, std::pair<double, double>, typename Plane::Hash,
-                         typename Plane::Eq>;
-  struct Collapsed {
-    std::vector<PatternInfo> patterns;
-    std::vector<size_t> row_pattern;
-  };
+struct PatternInfo {
+  Key pattern;
+  uint32_t null_mask = 0;  // Bit i set iff pattern[i] is a labelled null.
+  double count = 0.0;
+  double weight_sum = 0.0;
+  std::vector<uint32_t> rows;  // Ascending.
+};
+using KeyIdMap = std::unordered_map<Key, size_t, CodeVecHash>;
+/// Projection index of one null-mask class under one union mask:
+/// projected key -> (count, weight) totals.
+using ProjIndex = std::unordered_map<Key, std::pair<double, double>, CodeVecHash>;
+struct Collapsed {
+  std::vector<PatternInfo> patterns;
+  std::vector<size_t> row_pattern;
 };
 
 /// Rows collapsed into distinct strict-equality patterns. Pattern ids are
 /// assigned in first-occurrence (row) order and per-pattern aggregates are
 /// accumulated in row order, so the output is independent of the thread
-/// count — and of the plane.
-template <class Plane>
-typename PlaneTraits<Plane>::Collapsed CollapseRows(const Plane& plane, size_t n,
-                                                    NullSemantics semantics) {
-  using Traits = PlaneTraits<Plane>;
-  using Key = typename Plane::Key;
-  typename Traits::Collapsed out;
+/// count.
+Collapsed CollapseRows(const CodeRows& rows, size_t n, NullSemantics semantics) {
+  Collapsed out;
   out.row_pattern.assign(n, 0);
   if (n == 0) return out;
 
@@ -203,10 +124,10 @@ typename PlaneTraits<Plane>::Collapsed CollapseRows(const Plane& plane, size_t n
   ThreadPool::Global().ParallelFor(
       0, n, kCollapseGrain, [&](size_t lo, size_t hi, size_t shard) {
         auto& local = shards[shard];
-        typename Traits::KeyIdMap ids;
+        KeyIdMap ids;
         ids.reserve((hi - lo) * 2);
         for (size_t r = lo; r < hi; ++r) {
-          Key p = plane.MakeKey(r);
+          Key p = rows.MakeKey(r);
           auto it = ids.find(p);
           size_t id;
           if (it == ids.end()) {
@@ -224,7 +145,7 @@ typename PlaneTraits<Plane>::Collapsed CollapseRows(const Plane& plane, size_t n
   // so global first-occurrence order equals row order and every pattern's
   // count/weight accumulates in ascending row order — exactly what a
   // sequential pass produces.
-  typename Traits::KeyIdMap ids;
+  KeyIdMap ids;
   ids.reserve(n * 2);
   for (auto& shard : shards) {
     for (auto& sp : shard) {
@@ -232,19 +153,19 @@ typename PlaneTraits<Plane>::Collapsed CollapseRows(const Plane& plane, size_t n
       size_t id;
       if (it == ids.end()) {
         id = out.patterns.size();
-        typename Traits::PatternInfo info;
+        PatternInfo info;
         info.null_mask =
-            semantics == NullSemantics::kMaybeMatch ? NullMaskOfKey<Plane>(sp.values) : 0;
+            semantics == NullSemantics::kMaybeMatch ? NullMaskOfKey(sp.values) : 0;
         info.pattern = std::move(sp.values);
         out.patterns.push_back(std::move(info));
         ids.emplace(out.patterns.back().pattern, id);
       } else {
         id = it->second;
       }
-      typename Traits::PatternInfo& info = out.patterns[id];
+      PatternInfo& info = out.patterns[id];
       for (const uint32_t r : sp.rows) {
         info.count += 1.0;
-        info.weight_sum += plane.Weight(r);
+        info.weight_sum += rows.Weight(r);
         info.rows.push_back(r);
         out.row_pattern[r] = id;
       }
@@ -253,10 +174,8 @@ typename PlaneTraits<Plane>::Collapsed CollapseRows(const Plane& plane, size_t n
   return out;
 }
 
-template <class Plane>
-typename PlaneTraits<Plane>::ProjIndex BuildProjIndex(
-    const std::vector<typename PlaneTraits<Plane>::PatternInfo>& patterns,
-    const std::vector<size_t>& class_ids, uint32_t union_mask) {
+ProjIndex BuildProjIndex(const std::vector<PatternInfo>& patterns,
+                         const std::vector<size_t>& class_ids, uint32_t union_mask) {
   // Canonical accumulation order: class members sorted by their first row,
   // patterns emptied by deletes skipped. On a cold build this is exactly the
   // given id order (ids are assigned in first-occurrence row order and every
@@ -272,11 +191,10 @@ typename PlaneTraits<Plane>::ProjIndex BuildProjIndex(
   std::sort(ordered.begin(), ordered.end(), [&patterns](size_t a, size_t b) {
     return patterns[a].rows[0] < patterns[b].rows[0];
   });
-  typename PlaneTraits<Plane>::ProjIndex index;
+  ProjIndex index;
   index.reserve(ordered.size() * 2);
   for (const size_t p : ordered) {
-    auto key = ProjectOutKey(patterns[p].pattern, union_mask);
-    auto& agg = index[std::move(key)];
+    auto& agg = index[ProjectOutKey(patterns[p].pattern, union_mask)];
     agg.first += patterns[p].count;
     agg.second += patterns[p].weight_sum;
   }
@@ -290,13 +208,10 @@ typename PlaneTraits<Plane>::ProjIndex BuildProjIndex(
 /// re-aggregating); missing indexes are built in parallel, and the
 /// per-pattern sums run one class per task. All sums are accumulated in
 /// ascending class-mask order — deterministic for any thread count.
-template <class Plane>
-void AggregateMaybeMatch(
-    const std::vector<typename PlaneTraits<Plane>::PatternInfo>& patterns,
-    const std::map<uint32_t, std::vector<size_t>>& classes,
-    std::map<ProjIndexKey, typename PlaneTraits<Plane>::ProjIndex>* memo,
-    std::vector<double>* pat_freq, std::vector<double>* pat_wsum) {
-  using ProjIndex = typename PlaneTraits<Plane>::ProjIndex;
+void AggregateMaybeMatch(const std::vector<PatternInfo>& patterns,
+                         const std::map<uint32_t, std::vector<size_t>>& classes,
+                         std::map<ProjIndexKey, ProjIndex>* memo,
+                         std::vector<double>* pat_freq, std::vector<double>* pat_wsum) {
   pat_freq->assign(patterns.size(), 0.0);
   pat_wsum->assign(patterns.size(), 0.0);
   std::vector<uint32_t> masks;
@@ -322,7 +237,7 @@ void AggregateMaybeMatch(
   ThreadPool::Global().ParallelFor(0, missing.size(), 1,
                                    [&](size_t lo, size_t hi, size_t) {
                                      for (size_t i = lo; i < hi; ++i) {
-                                       built[i] = BuildProjIndex<Plane>(
+                                       built[i] = BuildProjIndex(
                                            patterns, classes.at(missing[i].first),
                                            missing[i].second);
                                      }
@@ -344,8 +259,7 @@ void AggregateMaybeMatch(
             for (const uint32_t mask2 : masks) {
               const uint32_t u = mask1 | mask2;
               const ProjIndex& index = memo->at({mask2, u});
-              const auto proj = ProjectOutKey(patterns[p1].pattern, u);
-              auto hit = index.find(proj);
+              auto hit = index.find(ProjectOutKey(patterns[p1].pattern, u));
               if (hit != index.end()) {
                 freq += hit->second.first;
                 wsum += hit->second.second;
@@ -358,27 +272,40 @@ void AggregateMaybeMatch(
       });
 }
 
-/// The plane-generic pattern partition: distinct keys, row membership,
-/// null-mask classes, memoized projection indexes. Shared by both GroupIndex
-/// impls (and, through GroupIndex, by PatternUniverse).
-template <class Plane>
-struct PlaneCore {
-  using Traits = PlaneTraits<Plane>;
-  using Key = typename Plane::Key;
-  using PatternInfo = typename Traits::PatternInfo;
+/// Per-pattern (frequency, weight) totals under `semantics`: the patterns'
+/// own aggregates under kStandard, maybe-match exchange between null-mask
+/// classes otherwise.
+void AggregatePatterns(const std::vector<PatternInfo>& patterns,
+                       const std::map<uint32_t, std::vector<size_t>>& classes,
+                       NullSemantics semantics, std::map<ProjIndexKey, ProjIndex>* memo,
+                       std::vector<double>* pat_freq, std::vector<double>* pat_wsum) {
+  if (semantics == NullSemantics::kMaybeMatch) {
+    AggregateMaybeMatch(patterns, classes, memo, pat_freq, pat_wsum);
+    return;
+  }
+  pat_freq->assign(patterns.size(), 0.0);
+  pat_wsum->assign(patterns.size(), 0.0);
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    (*pat_freq)[p] = patterns[p].count;
+    (*pat_wsum)[p] = patterns[p].weight_sum;
+  }
+}
 
-  Plane plane;
+/// The pattern partition behind a GroupIndex: distinct keys, row membership,
+/// null-mask classes, memoized projection indexes.
+struct PatternCore {
+  CodeRows rows;
   std::vector<PatternInfo> patterns;
-  typename Traits::KeyIdMap pattern_ids;
+  KeyIdMap pattern_ids;
   std::vector<size_t> row_pattern;
   std::map<uint32_t, std::vector<size_t>> classes;  // mask -> pattern ids
 
   // Memoized projection indexes, shared by Stats() re-aggregation and
   // Query(); entries of a dirty class are dropped on UpdateRows.
-  mutable std::map<ProjIndexKey, typename Traits::ProjIndex> proj_indexes;
+  mutable std::map<ProjIndexKey, ProjIndex> proj_indexes;
 
   void Build(size_t n, NullSemantics semantics) {
-    auto collapsed = CollapseRows(plane, n, semantics);
+    auto collapsed = CollapseRows(rows, n, semantics);
     patterns = std::move(collapsed.patterns);
     row_pattern = std::move(collapsed.row_pattern);
     pattern_ids.clear();
@@ -396,53 +323,12 @@ struct PlaneCore {
   void RecomputePatternAggregates(PatternInfo* info) {
     info->count = static_cast<double>(info->rows.size());
     info->weight_sum = 0.0;
-    for (const uint32_t r : info->rows) info->weight_sum += plane.Weight(r);
+    for (const uint32_t r : info->rows) info->weight_sum += rows.Weight(r);
   }
 
-  /// Moves the given rows between patterns per their current keys; returns
-  /// the dirtied null-mask classes (their projection indexes are dropped).
-  std::set<uint32_t> UpdateRows(const std::vector<uint32_t>& rows,
-                                NullSemantics semantics) {
-    std::set<uint32_t> dirty_classes;
-    for (const uint32_t r : rows) {
-      Key p = plane.MakeKey(r);
-      const size_t old_id = row_pattern[r];
-      if (typename Plane::Eq{}(p, patterns[old_id].pattern)) continue;  // No-op change.
-
-      // Detach the row from its old pattern.
-      PatternInfo& old_pat = patterns[old_id];
-      old_pat.rows.erase(std::find(old_pat.rows.begin(), old_pat.rows.end(), r));
-      RecomputePatternAggregates(&old_pat);
-      dirty_classes.insert(old_pat.null_mask);
-
-      // Attach it to the (possibly new) pattern of its current projection.
-      const uint32_t mask =
-          semantics == NullSemantics::kMaybeMatch ? NullMaskOfKey<Plane>(p) : 0;
-      auto it = pattern_ids.find(p);
-      size_t id;
-      if (it == pattern_ids.end()) {
-        id = patterns.size();
-        PatternInfo info;
-        info.null_mask = mask;
-        info.pattern = std::move(p);
-        patterns.push_back(std::move(info));
-        pattern_ids.emplace(patterns.back().pattern, id);
-        classes[mask].push_back(id);
-      } else {
-        id = it->second;
-      }
-      PatternInfo& new_pat = patterns[id];
-      new_pat.rows.insert(
-          std::upper_bound(new_pat.rows.begin(), new_pat.rows.end(), r), r);
-      RecomputePatternAggregates(&new_pat);
-      dirty_classes.insert(new_pat.null_mask);
-      row_pattern[r] = id;
-    }
-    if (dirty_classes.empty()) return dirty_classes;
-    VADASA_METRIC_COUNT("group_index.dirty_classes", dirty_classes.size());
-
-    // Dirty-group invalidation: only projection indexes involving a touched
-    // null-mask class are rebuilt by the next Stats()/Query().
+  /// Dirty-group invalidation: only projection indexes involving a touched
+  /// null-mask class are rebuilt by the next Stats()/Query().
+  void DropProjIndexes(const std::set<uint32_t>& dirty_classes) {
     size_t dropped = 0;
     for (auto it = proj_indexes.begin(); it != proj_indexes.end();) {
       if (dirty_classes.count(it->first.first) > 0) {
@@ -453,11 +339,38 @@ struct PlaneCore {
       }
     }
     VADASA_METRIC_COUNT("group_index.proj_indexes_dropped", dropped);
-    return dirty_classes;
+  }
+
+  /// Moves the given rows between patterns per their current keys; returns
+  /// whether any row changed pattern (its classes' projection indexes are
+  /// dropped).
+  bool UpdateRows(const std::vector<uint32_t>& changed, NullSemantics semantics) {
+    std::set<uint32_t> dirty_classes;
+    for (const uint32_t r : changed) {
+      Key p = rows.MakeKey(r);
+      const size_t old_id = row_pattern[r];
+      if (p == patterns[old_id].pattern) continue;  // No-op change.
+
+      // Detach the row from its old pattern.
+      PatternInfo& old_pat = patterns[old_id];
+      old_pat.rows.erase(std::find(old_pat.rows.begin(), old_pat.rows.end(), r));
+      RecomputePatternAggregates(&old_pat);
+      dirty_classes.insert(old_pat.null_mask);
+
+      // Attach it to the (possibly new) pattern of its current projection.
+      const size_t id = AttachKey(std::move(p), r, semantics, /*at_tail=*/false);
+      RecomputePatternAggregates(&patterns[id]);
+      dirty_classes.insert(patterns[id].null_mask);
+      row_pattern[r] = id;
+    }
+    if (dirty_classes.empty()) return false;
+    VADASA_METRIC_COUNT("group_index.dirty_classes", dirty_classes.size());
+    DropProjIndexes(dirty_classes);
+    return true;
   }
 
   /// Patches a core cloned from the pre-delta state into the post-delta
-  /// partition. Precondition: `plane` is already bound to the post-delta
+  /// partition. Precondition: `rows` is already bound to the post-delta
   /// table/view and `plan` came from the ApplyDeltaToTable call that produced
   /// that table. Deleted rows are detached and the row numbering compacted
   /// (order-preserving, so untouched patterns keep their ascending row lists
@@ -524,8 +437,8 @@ struct PlaneCore {
       const size_t old_id = row_pattern[r];
       touched.insert(old_id);
       dirty_classes.insert(patterns[old_id].null_mask);
-      Key p = plane.MakeKey(r);
-      if (typename Plane::Eq{}(p, patterns[old_id].pattern)) continue;
+      Key p = rows.MakeKey(r);
+      if (p == patterns[old_id].pattern) continue;
       PatternInfo& old_pat = patterns[old_id];
       old_pat.rows.erase(std::find(old_pat.rows.begin(), old_pat.rows.end(), r));
       const size_t id = AttachKey(std::move(p), r, semantics, /*at_tail=*/false);
@@ -536,7 +449,7 @@ struct PlaneCore {
 
     // 4. Attach appended rows at the tail, in ascending row order.
     for (size_t r = new_num_rows - plan.appended_rows; r < new_num_rows; ++r) {
-      const size_t id = AttachKey(plane.MakeKey(r), static_cast<uint32_t>(r),
+      const size_t id = AttachKey(rows.MakeKey(r), static_cast<uint32_t>(r),
                                   semantics, /*at_tail=*/true);
       touched.insert(id);
       dirty_classes.insert(patterns[id].null_mask);
@@ -548,16 +461,7 @@ struct PlaneCore {
     for (const size_t id : touched) RecomputePatternAggregates(&patterns[id]);
 
     // 6. Dirty-group invalidation, exactly as in UpdateRows.
-    size_t dropped = 0;
-    for (auto it = proj_indexes.begin(); it != proj_indexes.end();) {
-      if (dirty_classes.count(it->first.first) > 0) {
-        it = proj_indexes.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-    VADASA_METRIC_COUNT("group_index.proj_indexes_dropped", dropped);
+    DropProjIndexes(dirty_classes);
     return {touched.size(), dirty_classes.size()};
   }
 
@@ -565,7 +469,7 @@ struct PlaneCore {
   /// (push_back when `at_tail` — appends carry the largest indices).
   size_t AttachKey(Key p, uint32_t r, NullSemantics semantics, bool at_tail) {
     const uint32_t mask =
-        semantics == NullSemantics::kMaybeMatch ? NullMaskOfKey<Plane>(p) : 0;
+        semantics == NullSemantics::kMaybeMatch ? NullMaskOfKey(p) : 0;
     auto it = pattern_ids.find(p);
     size_t id;
     if (it == pattern_ids.end()) {
@@ -590,19 +494,11 @@ struct PlaneCore {
 
   void RecomputeStats(size_t num_rows, NullSemantics semantics,
                       GroupStats* stats) const {
+    std::vector<double> pat_freq;
+    std::vector<double> pat_wsum;
+    AggregatePatterns(patterns, classes, semantics, &proj_indexes, &pat_freq, &pat_wsum);
     stats->frequency.assign(num_rows, 0.0);
     stats->weight_sum.assign(num_rows, 0.0);
-    std::vector<double> pat_freq(patterns.size(), 0.0);
-    std::vector<double> pat_wsum(patterns.size(), 0.0);
-    if (semantics == NullSemantics::kStandard) {
-      for (size_t p = 0; p < patterns.size(); ++p) {
-        pat_freq[p] = patterns[p].count;
-        pat_wsum[p] = patterns[p].weight_sum;
-      }
-    } else {
-      AggregateMaybeMatch<Plane>(patterns, classes, &proj_indexes, &pat_freq,
-                                 &pat_wsum);
-    }
     for (size_t r = 0; r < num_rows; ++r) {
       stats->frequency[r] = pat_freq[row_pattern[r]];
       stats->weight_sum[r] = pat_wsum[row_pattern[r]];
@@ -619,17 +515,16 @@ struct PlaneCore {
       }
       return mass;
     }
-    const uint32_t qmask = NullMaskOfKey<Plane>(key);
+    const uint32_t qmask = NullMaskOfKey(key);
     for (const auto& [cmask, ids] : classes) {
       const uint32_t u = qmask | cmask;
       const ProjIndexKey pkey{cmask, u};
       auto it = proj_indexes.find(pkey);
       if (it == proj_indexes.end()) {
         VADASA_METRIC_COUNT("group_index.proj_indexes_built", 1);
-        it = proj_indexes.emplace(pkey, BuildProjIndex<Plane>(patterns, ids, u)).first;
+        it = proj_indexes.emplace(pkey, BuildProjIndex(patterns, ids, u)).first;
       }
-      const auto proj = ProjectOutKey(key, u);
-      auto hit = it->second.find(proj);
+      auto hit = it->second.find(ProjectOutKey(key, u));
       if (hit != it->second.end()) {
         mass.count += hit->second.first;
         mass.weight += hit->second.second;
@@ -638,43 +533,6 @@ struct PlaneCore {
     return mass;
   }
 };
-
-template <class Plane>
-GroupStats ComputeStatsOnPlane(const Plane& plane, size_t n, NullSemantics semantics) {
-  GroupStats stats;
-  stats.frequency.assign(n, 0.0);
-  stats.weight_sum.assign(n, 0.0);
-
-  // 1. Collapse rows into distinct patterns (strict equality; null labels
-  //    distinguish). Under kStandard this already yields the answer.
-  auto collapsed = CollapseRows(plane, n, semantics);
-  const auto& patterns = collapsed.patterns;
-
-  std::vector<double> pat_freq(patterns.size(), 0.0);
-  std::vector<double> pat_wsum(patterns.size(), 0.0);
-
-  if (semantics == NullSemantics::kStandard) {
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      pat_freq[p] = patterns[p].count;
-      pat_wsum[p] = patterns[p].weight_sum;
-    }
-  } else {
-    // 2. Maybe-match: group patterns by null-mask class and exchange mass
-    //    between classes through shared projections.
-    std::map<uint32_t, std::vector<size_t>> classes;  // mask -> pattern ids
-    for (size_t p = 0; p < patterns.size(); ++p) {
-      classes[patterns[p].null_mask].push_back(p);
-    }
-    std::map<ProjIndexKey, typename PlaneTraits<Plane>::ProjIndex> memo;
-    AggregateMaybeMatch<Plane>(patterns, classes, &memo, &pat_freq, &pat_wsum);
-  }
-
-  for (size_t r = 0; r < n; ++r) {
-    stats.frequency[r] = pat_freq[collapsed.row_pattern[r]];
-    stats.weight_sum[r] = pat_wsum[collapsed.row_pattern[r]];
-  }
-  return stats;
-}
 
 }  // namespace
 
@@ -695,72 +553,75 @@ GroupStats ComputeGroupStats(const MicrodataTable& table,
                              NullSemantics semantics,
                              std::shared_ptr<const ColumnarView> shared_view) {
   const size_t n = table.num_rows();
-  if (ActiveDataPlane() == DataPlane::kColumnar) {
-    std::shared_ptr<const ColumnarView> view = std::move(shared_view);
-    if (view == nullptr || view->num_rows() != n) {
-      view = std::make_shared<ColumnarView>(table);
-    }
-    ColumnarPlane plane;
-    plane.view = std::move(view);
-    plane.Bind(table, qi_columns);
-    return ComputeStatsOnPlane(plane, n, semantics);
+  CodeRows rows;
+  rows.view = std::move(shared_view);
+  if (rows.view == nullptr || rows.view->num_rows() != n) {
+    rows.view = std::make_shared<ColumnarView>(table);
   }
-  RowPlane plane;
-  plane.Bind(table, qi_columns);
-  return ComputeStatsOnPlane(plane, n, semantics);
+  rows.Bind(table, qi_columns);
+
+  // 1. Collapse rows into distinct patterns (strict equality; null labels
+  //    distinguish). Under kStandard this already yields the answer.
+  const Collapsed collapsed = CollapseRows(rows, n, semantics);
+
+  // 2. Under kMaybeMatch, group patterns by null-mask class and exchange
+  //    mass between classes through shared projections.
+  std::map<uint32_t, std::vector<size_t>> classes;  // mask -> pattern ids
+  for (size_t p = 0; p < collapsed.patterns.size(); ++p) {
+    classes[collapsed.patterns[p].null_mask].push_back(p);
+  }
+  std::map<ProjIndexKey, ProjIndex> memo;
+  std::vector<double> pat_freq;
+  std::vector<double> pat_wsum;
+  AggregatePatterns(collapsed.patterns, classes, semantics, &memo, &pat_freq, &pat_wsum);
+
+  GroupStats stats;
+  stats.frequency.assign(n, 0.0);
+  stats.weight_sum.assign(n, 0.0);
+  for (size_t r = 0; r < n; ++r) {
+    stats.frequency[r] = pat_freq[collapsed.row_pattern[r]];
+    stats.weight_sum[r] = pat_wsum[collapsed.row_pattern[r]];
+  }
+  return stats;
 }
 
 EquivalenceClassStats ComputeEquivalenceClasses(
     const MicrodataTable& table, const std::vector<size_t>& qi_columns) {
   EquivalenceClassStats stats;
   stats.histogram.assign(10, 0);
-  std::unordered_map<std::vector<Value>, size_t, VecHash, VecEq> classes;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    std::vector<Value> key;
-    key.reserve(qi_columns.size());
-    for (const size_t c : qi_columns) key.push_back(table.cell(r, c));
-    classes[std::move(key)]++;
+  const size_t n = table.num_rows();
+  if (n == 0) return stats;
+  // Under strict equality every row's frequency is the size of its class, so
+  // a class of size s contributes s rows of frequency s.
+  const GroupStats groups = ComputeGroupStats(table, qi_columns, NullSemantics::kStandard);
+  std::map<size_t, size_t> rows_by_size;
+  for (const double f : groups.frequency) rows_by_size[static_cast<size_t>(f)]++;
+  stats.min_class_size = rows_by_size.begin()->first;
+  stats.max_class_size = rows_by_size.rbegin()->first;
+  for (const auto& [size, rows] : rows_by_size) {
+    const size_t classes = rows / size;
+    stats.num_classes += classes;
+    if (size == 1) stats.uniques = classes;
+    stats.histogram[std::min<size_t>(size, 10) - 1] += classes;
   }
-  stats.num_classes = classes.size();
-  if (classes.empty()) return stats;
-  stats.min_class_size = table.num_rows();
-  for (const auto& [key, size] : classes) {
-    (void)key;
-    if (size == 1) ++stats.uniques;
-    stats.min_class_size = std::min(stats.min_class_size, size);
-    stats.max_class_size = std::max(stats.max_class_size, size);
-    stats.histogram[std::min<size_t>(size, 10) - 1]++;
-  }
-  stats.mean_class_size =
-      static_cast<double>(table.num_rows()) / static_cast<double>(classes.size());
+  stats.mean_class_size = static_cast<double>(n) / static_cast<double>(stats.num_classes);
   return stats;
-}
-
-double CountMatches(const MicrodataTable& table, const std::vector<size_t>& qi_columns,
-                    const std::vector<Value>& pattern, NullSemantics semantics) {
-  double count = 0.0;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    bool match = true;
-    for (size_t i = 0; i < qi_columns.size() && match; ++i) {
-      const Value& cell = table.cell(r, qi_columns[i]);
-      match = semantics == NullSemantics::kMaybeMatch ? cell.MaybeEquals(pattern[i])
-                                                      : cell.Equals(pattern[i]);
-    }
-    if (match) count += 1.0;
-  }
-  return count;
 }
 
 // ---------------------------------------------------------------------------
 // GroupIndex: the incremental index behind the cycle's risk-evaluation loop.
-// One abstract Impl per plane; both delegate to the shared PlaneCore.
 // ---------------------------------------------------------------------------
 
 struct GroupIndex::Impl {
   std::vector<size_t> qi_columns;
   NullSemantics semantics = NullSemantics::kMaybeMatch;
-  DataPlane plane = DataPlane::kRow;
   size_t num_rows = 0;
+  PatternCore core;
+  /// The mutable handle to the view `core.rows` reads. When owns_view, this
+  /// index refreshes the view's codes itself inside Update; otherwise the
+  /// owner (RiskEvalCache) refreshes once per batch before calling it.
+  std::shared_ptr<ColumnarView> view;
+  bool owns_view = true;
 
   mutable GroupStats stats;
   mutable bool stats_dirty = true;
@@ -768,126 +629,40 @@ struct GroupIndex::Impl {
   size_t full_builds = 0;
   size_t incremental_updates = 0;
 
-  virtual ~Impl() = default;
-  virtual void Build(const MicrodataTable& table) = 0;
-  /// Precondition: the table shape matches num_rows (GroupIndex::UpdateRows
-  /// rebuilds otherwise).
-  virtual void Update(const MicrodataTable& table, const std::vector<uint32_t>& rows) = 0;
-  virtual void Recompute() const = 0;
-  virtual PatternMass QueryPattern(const std::vector<Value>& pattern) const = 0;
-  virtual size_t pattern_count() const = 0;
-  virtual void AdoptSharedView(std::shared_ptr<ColumnarView> view) { (void)view; }
-  /// A patched copy of this impl over the post-delta table (see
-  /// GroupIndex::ApplyDelta). Never mutates *this.
-  virtual std::unique_ptr<Impl> CloneForDelta(const MicrodataTable& new_table,
-                                              const DeltaRowPlan& plan) const = 0;
-  virtual std::shared_ptr<const ColumnarView> SharedViewHandle() const { return nullptr; }
-
- protected:
-  /// Shared bookkeeping of CloneForDelta: copies the plane-independent fields
-  /// onto `clone` and counts the delta as one absorbed incremental update.
-  void CopyMetaTo(Impl* clone, size_t new_num_rows) const {
-    clone->qi_columns = qi_columns;
-    clone->semantics = semantics;
-    clone->plane = plane;
-    clone->num_rows = new_num_rows;
-    clone->stats_dirty = true;
-    clone->full_builds = full_builds;
-    clone->incremental_updates = incremental_updates + 1;
-  }
-};
-
-namespace {
-
-struct RowImpl final : GroupIndex::Impl {
-  PlaneCore<RowPlane> core;
-
-  void Build(const MicrodataTable& table) override {
+  void Build(const MicrodataTable& table) {
     obs::Span span("group_index.build");
     VADASA_METRIC_COUNT("group_index.full_builds", 1);
     num_rows = table.num_rows();
-    core.plane.Bind(table, qi_columns);
-    core.Build(num_rows, semantics);
-    stats_dirty = true;
-    ++full_builds;
-  }
-
-  void Update(const MicrodataTable& table, const std::vector<uint32_t>& rows) override {
-    core.plane.Bind(table, qi_columns);
-    if (!core.UpdateRows(rows, semantics).empty()) stats_dirty = true;
-  }
-
-  void Recompute() const override {
-    obs::Span span("group_index.recompute_stats");
-    core.RecomputeStats(num_rows, semantics, &stats);
-    stats_dirty = false;
-  }
-
-  PatternMass QueryPattern(const std::vector<Value>& pattern) const override {
-    return core.QueryKey(pattern, semantics);
-  }
-
-  size_t pattern_count() const override { return core.patterns.size(); }
-
-  std::unique_ptr<GroupIndex::Impl> CloneForDelta(
-      const MicrodataTable& new_table, const DeltaRowPlan& plan) const override {
-    auto clone = std::make_unique<RowImpl>();
-    CopyMetaTo(clone.get(), new_table.num_rows());
-    clone->core = core;
-    clone->core.plane.Bind(new_table, clone->qi_columns);
-    const auto [dirtied, classes_dirtied] =
-        clone->core.ApplyDeltaPlan(plan, semantics, clone->num_rows);
-    VADASA_METRIC_COUNT("delta.groups_dirtied", dirtied);
-    VADASA_METRIC_COUNT("delta.groups_recomputed", dirtied);
-    VADASA_METRIC_COUNT("delta.classes_dirtied", classes_dirtied);
-    return clone;
-  }
-};
-
-struct ColumnarImpl final : GroupIndex::Impl {
-  PlaneCore<ColumnarPlane> core;
-  /// The mutable handle to the view the plane reads. When owns_view, this
-  /// index refreshes the view's codes itself inside Update; otherwise the
-  /// owner (RiskEvalCache) refreshes once per batch before calling it.
-  std::shared_ptr<ColumnarView> view;
-  bool owns_view = true;
-
-  void Rebind(const MicrodataTable& table) {
-    if (view == nullptr || view->num_rows() != table.num_rows()) {
+    if (view == nullptr || view->num_rows() != num_rows) {
       view = std::make_shared<ColumnarView>(table);
     }
-    core.plane.view = view;
-    core.plane.Bind(table, qi_columns);
-  }
-
-  void Build(const MicrodataTable& table) override {
-    obs::Span span("group_index.build");
-    VADASA_METRIC_COUNT("group_index.full_builds", 1);
-    num_rows = table.num_rows();
-    Rebind(table);
+    core.rows.view = view;
+    core.rows.Bind(table, qi_columns);
     core.Build(num_rows, semantics);
     stats_dirty = true;
     ++full_builds;
   }
 
-  void Update(const MicrodataTable& table, const std::vector<uint32_t>& rows) override {
-    if (core.plane.view.get() != view.get()) {
-      // The shared view was swapped (AdoptSharedView) — rebind and rebuild.
+  /// Precondition: the table shape matches num_rows (GroupIndex::UpdateRows
+  /// rebuilds otherwise).
+  void Update(const MicrodataTable& table, const std::vector<uint32_t>& rows) {
+    if (core.rows.view.get() != view.get()) {
+      // The shared view was swapped (AdoptView) — rebind and rebuild.
       Build(table);
       return;
     }
     if (owns_view) view->UpdateRows(table, rows);
-    if (!core.UpdateRows(rows, semantics).empty()) stats_dirty = true;
+    if (core.UpdateRows(rows, semantics)) stats_dirty = true;
   }
 
-  void Recompute() const override {
+  void Recompute() const {
     obs::Span span("group_index.recompute_stats");
     core.RecomputeStats(num_rows, semantics, &stats);
     stats_dirty = false;
   }
 
-  PatternMass QueryPattern(const std::vector<Value>& pattern) const override {
-    std::vector<uint32_t> key;
+  PatternMass QueryPattern(const std::vector<Value>& pattern) const {
+    Key key;
     key.reserve(pattern.size());
     for (size_t i = 0; i < pattern.size(); ++i) {
       key.push_back(view->CodeForQuery(qi_columns[i], pattern[i]));
@@ -895,20 +670,16 @@ struct ColumnarImpl final : GroupIndex::Impl {
     return core.QueryKey(key, semantics);
   }
 
-  size_t pattern_count() const override { return core.patterns.size(); }
-
-  void AdoptSharedView(std::shared_ptr<ColumnarView> v) override {
-    view = std::move(v);
-  }
-
-  std::shared_ptr<const ColumnarView> SharedViewHandle() const override {
-    return view;
-  }
-
-  std::unique_ptr<GroupIndex::Impl> CloneForDelta(
-      const MicrodataTable& new_table, const DeltaRowPlan& plan) const override {
-    auto clone = std::make_unique<ColumnarImpl>();
-    CopyMetaTo(clone.get(), new_table.num_rows());
+  /// A patched copy of this impl over the post-delta table (see
+  /// GroupIndex::ApplyDelta). Never mutates *this.
+  std::unique_ptr<Impl> CloneForDelta(const MicrodataTable& new_table,
+                                      const DeltaRowPlan& plan) const {
+    auto clone = std::make_unique<Impl>();
+    clone->qi_columns = qi_columns;
+    clone->semantics = semantics;
+    clone->num_rows = new_table.num_rows();
+    clone->full_builds = full_builds;
+    clone->incremental_updates = incremental_updates + 1;
     clone->core = core;
     // Delta-clone the view: inherited dictionaries and code arrays, deleted
     // rows compacted out, changed rows re-interned (see columnar.h). Updated
@@ -921,9 +692,8 @@ struct ColumnarImpl final : GroupIndex::Impl {
     }
     clone->view = std::make_shared<ColumnarView>(*view, new_table,
                                                  plan.deleted_old_rows, changed);
-    clone->owns_view = true;
-    clone->core.plane.view = clone->view;
-    clone->core.plane.Bind(new_table, clone->qi_columns);
+    clone->core.rows.view = clone->view;
+    clone->core.rows.Bind(new_table, clone->qi_columns);
     const auto [dirtied, classes_dirtied] =
         clone->core.ApplyDeltaPlan(plan, semantics, clone->num_rows);
     VADASA_METRIC_COUNT("delta.groups_dirtied", dirtied);
@@ -933,27 +703,17 @@ struct ColumnarImpl final : GroupIndex::Impl {
   }
 };
 
-}  // namespace
-
 GroupIndex::GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
                        NullSemantics semantics)
     : GroupIndex(table, std::move(qi_columns), semantics, nullptr) {}
 
 GroupIndex::GroupIndex(const MicrodataTable& table, std::vector<size_t> qi_columns,
                        NullSemantics semantics,
-                       std::shared_ptr<ColumnarView> shared_view) {
-  if (ActiveDataPlane() == DataPlane::kColumnar) {
-    auto impl = std::make_unique<ColumnarImpl>();
-    if (shared_view != nullptr) {
-      impl->view = std::move(shared_view);
-      impl->owns_view = false;
-    }
-    impl->plane = DataPlane::kColumnar;
-    impl_ = std::move(impl);
-  } else {
-    auto impl = std::make_unique<RowImpl>();
-    impl->plane = DataPlane::kRow;
-    impl_ = std::move(impl);
+                       std::shared_ptr<ColumnarView> shared_view)
+    : impl_(std::make_unique<Impl>()) {
+  if (shared_view != nullptr) {
+    impl_->view = std::move(shared_view);
+    impl_->owns_view = false;
   }
   impl_->qi_columns = std::move(qi_columns);
   impl_->semantics = semantics;
@@ -998,37 +758,15 @@ PatternMass GroupIndex::Query(const std::vector<Value>& pattern) const {
 const std::vector<size_t>& GroupIndex::qi_columns() const { return impl_->qi_columns; }
 NullSemantics GroupIndex::semantics() const { return impl_->semantics; }
 size_t GroupIndex::num_rows() const { return impl_->num_rows; }
-size_t GroupIndex::num_patterns() const { return impl_->pattern_count(); }
-DataPlane GroupIndex::data_plane() const { return impl_->plane; }
+size_t GroupIndex::num_patterns() const { return impl_->core.patterns.size(); }
 void GroupIndex::AdoptView(std::shared_ptr<ColumnarView> view) {
-  impl_->AdoptSharedView(std::move(view));
+  impl_->view = std::move(view);
 }
 std::shared_ptr<const ColumnarView> GroupIndex::shared_view() const {
-  return impl_->SharedViewHandle();
+  return impl_->view;
 }
 size_t GroupIndex::full_builds() const { return impl_->full_builds; }
 size_t GroupIndex::incremental_updates() const { return impl_->incremental_updates; }
-
-// ---------------------------------------------------------------------------
-// PatternUniverse: an immutable what-if snapshot. A thin wrapper over
-// GroupIndex (shared_ptr for cheap copies) — both planes, one code path.
-// ---------------------------------------------------------------------------
-
-struct PatternUniverse::Impl {
-  std::unique_ptr<GroupIndex> index;
-};
-
-PatternUniverse::PatternUniverse(const MicrodataTable& table,
-                                 std::vector<size_t> qi_columns,
-                                 NullSemantics semantics) {
-  impl_ = std::make_shared<Impl>();
-  impl_->index = std::make_unique<GroupIndex>(table, std::move(qi_columns), semantics);
-  pattern_count_ = impl_->index->num_patterns();
-}
-
-PatternUniverse::Mass PatternUniverse::Query(const std::vector<Value>& pattern) const {
-  return impl_->index->Query(pattern);
-}
 
 // ---------------------------------------------------------------------------
 // RiskEvalCache
@@ -1048,11 +786,10 @@ struct RiskEvalCache::Impl {
   uint64_t version = 0;
 
   /// One columnar materialization shared by every index of this cache (and
-  /// by the cycle's pattern guards). Null under the row plane.
+  /// by the cycle's pattern guards).
   std::shared_ptr<ColumnarView> view;
 
   std::shared_ptr<ColumnarView> EnsureView(const MicrodataTable& table) {
-    if (ActiveDataPlane() != DataPlane::kColumnar) return nullptr;
     if (view == nullptr || view->num_rows() != table.num_rows()) {
       view = std::make_shared<ColumnarView>(table);
     }
@@ -1075,8 +812,7 @@ GroupIndex& RiskEvalCache::Index(const MicrodataTable& table,
              .emplace(key, std::make_unique<GroupIndex>(table, qi_columns, semantics,
                                                         std::move(shared)))
              .first;
-  } else if (it->second->num_rows() != table.num_rows() ||
-             it->second->data_plane() != ActiveDataPlane()) {
+  } else if (it->second->num_rows() != table.num_rows()) {
     VADASA_METRIC_COUNT("risk_cache.index_misses", 1);
     it->second = std::make_unique<GroupIndex>(table, qi_columns, semantics,
                                               std::move(shared));

@@ -45,9 +45,8 @@ std::vector<size_t> OrderRiskyTuples(const MicrodataTable& table,
 
 /// Picks the quasi-identifier column of `row` to anonymize, among columns the
 /// anonymizer can act on. `universe` provides what-if frequencies for
-/// kMostRiskyFirst — either a PatternUniverse snapshot or the cycle's
-/// incremental GroupIndex. Fails with NotFound when no column is applicable
-/// (e.g. everything already suppressed).
+/// kMostRiskyFirst — typically the cycle's incremental GroupIndex. Fails with
+/// NotFound when no column is applicable (e.g. everything already suppressed).
 Result<size_t> ChooseQiColumn(const MicrodataTable& table,
                               const std::vector<size_t>& qi_columns, size_t row,
                               QiChoice choice, const Anonymizer& anonymizer,

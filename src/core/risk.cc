@@ -156,7 +156,7 @@ Result<std::vector<double>> IndividualRisk::ComputeRisks(const MicrodataTable& t
   // of row draws into thousands of pair draws per evaluation. Pair ids are
   // assigned in first-row order and sampled in fixed shards with one Rng
   // stream each, so the vector is deterministic in (table, seed) and
-  // bit-identical for any thread count (and either data plane).
+  // bit-identical for any thread count.
   const int draws = context.posterior_draws;
   const uint64_t seed = context.seed;
   struct PairHash {

@@ -45,10 +45,10 @@ struct RiskContext {
 
   /// Optional shared columnar materialization of the table (see columnar.h),
   /// with the same contract as warm_stats: valid for the exact current table
-  /// contents only. Consulted under the columnar plane by cache-less
-  /// evaluations that must compute group stats from scratch (e.g. a serve job
-  /// whose warm_stats cover a different AnonSet, or SUDA's projections), so
-  /// concurrent jobs on one immutable dataset intern each column once.
+  /// contents only. Consulted by cache-less evaluations that must compute
+  /// group stats from scratch (e.g. a serve job whose warm_stats cover a
+  /// different AnonSet, or SUDA's projections), so concurrent jobs on one
+  /// immutable dataset intern each column once.
   std::shared_ptr<const ColumnarView> warm_view;
 
   /// Resolves qi_columns against the table's schema.

@@ -66,7 +66,24 @@ std::map<int64_t, Value> LatestVersions(const Database& db, const Value& m) {
 
 }  // namespace
 
-VadalogBridge::VadalogBridge(BridgeOptions options) : options_(std::move(options)) {}
+Status ValidateBridgeMeasure(const std::string& measure) {
+  if (measure == "k-anonymity" || measure == "kanonymity" ||
+      measure == "reidentification" || measure == "re-identification") {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "the declarative cycle implements only the k-anonymity and "
+      "reidentification measures, got \"" + measure + "\"");
+}
+
+VadalogBridge::VadalogBridge(BridgeOptions options) : options_(std::move(options)) {
+  // #risk and DecodeRelease test the canonical spellings.
+  if (options_.risk_measure == "re-identification") {
+    options_.risk_measure = "reidentification";
+  } else if (options_.risk_measure == "kanonymity") {
+    options_.risk_measure = "k-anonymity";
+  }
+}
 
 void VadalogBridge::EncodeMicrodata(const MicrodataTable& table,
                                     Database* db) const {
@@ -315,6 +332,7 @@ Result<MicrodataTable> VadalogBridge::RunDeclarativeCycle(
     const MicrodataTable& table, const OwnershipGraph* graph,
     vadalog::RunStats* stats) const {
   obs::Span span("bridge.declarative_cycle");
+  VADASA_RETURN_NOT_OK(ValidateBridgeMeasure(options_.risk_measure));
   vadalog::EngineOptions engine_options;
   engine_options.track_provenance = true;
   vadalog::Engine engine(engine_options);
@@ -332,6 +350,7 @@ Result<MicrodataTable> VadalogBridge::RunDeclarativeEnhancedCycle(
     const MicrodataTable& table, const OwnershipGraph& graph,
     vadalog::RunStats* stats) const {
   obs::Span span("bridge.declarative_enhanced_cycle");
+  VADASA_RETURN_NOT_OK(ValidateBridgeMeasure(options_.risk_measure));
   vadalog::EngineOptions engine_options;
   engine_options.track_provenance = true;
   vadalog::Engine engine(engine_options);

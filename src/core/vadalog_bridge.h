@@ -24,13 +24,21 @@ namespace vadasa::core {
 ///
 /// Knobs of the declarative pipeline.
 struct BridgeOptions {
-  /// Risk plugged into #risk: "k-anonymity" or "reidentification".
+  /// Risk plugged into #risk: "k-anonymity" or "reidentification" (or their
+  /// MakeRiskMeasure aliases); anything else is rejected, see
+  /// ValidateBridgeMeasure.
   std::string risk_measure = "k-anonymity";
   int k = 2;
   double threshold = 0.5;
   /// Null comparison used by #risk when grouping (Fig. 7c switch).
   bool maybe_match = true;
 };
+
+/// OK iff #risk implements `measure`: k-anonymity (Algorithm 4) or
+/// re-identification (Algorithm 3), under any MakeRiskMeasure spelling.
+/// Every other measure is InvalidArgument — the declarative cycle never
+/// releases one measure's answer under another's name.
+Status ValidateBridgeMeasure(const std::string& measure);
 
 class VadalogBridge {
  public:

@@ -24,8 +24,8 @@ uint64_t FingerprintTable(const core::MicrodataTable& table);
 /// job's payload: the validated SessionOptions in a fixed field order plus
 /// the action and its risk extras. Two submits that spell the same policy
 /// with different JSON field orders (or rely on defaults) map to one key.
-/// The data plane and thread count are deliberately absent — results are
-/// bit-identical across them (pinned by the columnar/parallel properties).
+/// The thread count is deliberately absent — results are bit-identical
+/// across thread counts (pinned by the parallel-determinism property).
 std::string CanonicalPolicyKey(const api::SessionOptions& options,
                                JobAction action, double quantile, bool explain);
 

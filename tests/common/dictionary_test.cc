@@ -35,7 +35,7 @@ TEST(DictionaryTest, CodesAreDenseAndStableInFirstInternOrder) {
 TEST(DictionaryTest, CodeEqualityMatchesValueEqualsAcrossNumericKinds) {
   // Value::Equals treats Int(2) and Double(2.0) as the same term; the
   // interner must collapse them to one code or grouping on codes would
-  // split groups the row plane merges.
+  // split groups that Value::Equals merges.
   Dictionary dict;
   const uint32_t i2 = dict.Intern(Value::Int(2));
   const uint32_t d2 = dict.Intern(Value::Double(2.0));

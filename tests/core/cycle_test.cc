@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/datagen.h"
 #include "core/infoloss.h"
 
@@ -245,6 +247,13 @@ struct CycleSweepParam {
   int k;
   bool single_step;
 };
+
+// Without this, gtest prints the parameter as raw bytes, so the discovered
+// test names embed the address of `measure` and change from build to build.
+void PrintTo(const CycleSweepParam& param, std::ostream* os) {
+  *os << param.measure << " k=" << param.k
+      << (param.single_step ? " single-step" : " multi-step");
+}
 
 class CycleSweepTest : public ::testing::TestWithParam<CycleSweepParam> {};
 

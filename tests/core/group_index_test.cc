@@ -8,9 +8,12 @@
 
 #include "common/random.h"
 #include "core/datagen.h"
+#include "testing/reference_grouping.h"
 
 namespace vadasa::core {
 namespace {
+
+using vadasa::testing::ReferencePatternMass;
 
 /// The Figure 5a table: 4 QI columns, frequencies 1,2,2,2,2,1,1.
 TEST(GroupIndexTest, Figure5FrequenciesBeforeSuppression) {
@@ -181,8 +184,10 @@ TEST(GroupIndexTest, CountMatchesWildcardPattern) {
   // (Roma, *, 1000+, 0-30) matches rows 0-4.
   const std::vector<Value> pattern = {Value::String("Roma"), Value::Null(0),
                                       Value::String("1000+"), Value::String("0-30")};
-  EXPECT_DOUBLE_EQ(CountMatches(t, qis, pattern, NullSemantics::kMaybeMatch), 5.0);
-  EXPECT_DOUBLE_EQ(CountMatches(t, qis, pattern, NullSemantics::kStandard), 0.0);
+  EXPECT_DOUBLE_EQ(
+      ReferencePatternMass(t, qis, pattern, NullSemantics::kMaybeMatch).count, 5.0);
+  EXPECT_DOUBLE_EQ(
+      ReferencePatternMass(t, qis, pattern, NullSemantics::kStandard).count, 0.0);
 }
 
 TEST(PatternUniverseTest, AgreesWithCountMatches) {
@@ -198,7 +203,7 @@ TEST(PatternUniverseTest, AgreesWithCountMatches) {
     ASSERT_TRUE(t.AddRow({cell(), cell()}).ok());
   }
   const auto qis = t.QuasiIdentifierColumns();
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
+  const GroupIndex universe(t, qis, NullSemantics::kMaybeMatch);
   // Query with every row's own pattern plus synthetic wildcard patterns.
   std::vector<std::vector<Value>> queries;
   for (size_t r = 0; r < t.num_rows(); ++r) {
@@ -209,14 +214,14 @@ TEST(PatternUniverseTest, AgreesWithCountMatches) {
   queries.push_back({Value::Null(0), Value::Null(0)});
   for (const auto& q : queries) {
     EXPECT_DOUBLE_EQ(universe.Query(q).count,
-                     CountMatches(t, qis, q, NullSemantics::kMaybeMatch));
+                     ReferencePatternMass(t, qis, q, NullSemantics::kMaybeMatch).count);
   }
 }
 
 TEST(PatternUniverseTest, StandardSemanticsExactLookup) {
   const MicrodataTable t = Figure5Microdata();
   const auto qis = t.QuasiIdentifierColumns();
-  const PatternUniverse universe(t, qis, NullSemantics::kStandard);
+  const GroupIndex universe(t, qis, NullSemantics::kStandard);
   const std::vector<Value> roma_commerce = {Value::String("Roma"),
                                             Value::String("Commerce"),
                                             Value::String("1000+"), Value::String("0-30")};
@@ -226,15 +231,15 @@ TEST(PatternUniverseTest, StandardSemanticsExactLookup) {
 TEST(PatternUniverseTest, WeightMass) {
   const MicrodataTable t = Figure1Microdata();
   const auto qis = t.QuasiIdentifierColumns();
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
+  const GroupIndex universe(t, qis, NullSemantics::kMaybeMatch);
   std::vector<Value> p;
   for (const size_t c : qis) p.push_back(t.cell(3, c));  // Tuple 4.
   EXPECT_DOUBLE_EQ(universe.Query(p).weight, 60.0);
 }
 
-/// Randomized oracle test: PatternUniverse::Query must agree with the linear
-/// CountMatches scan for arbitrary (wildcard-bearing) patterns under BOTH
-/// null semantics.
+/// Randomized oracle test: GroupIndex::Query must agree with the linear
+/// reference scan for arbitrary (wildcard-bearing) patterns under BOTH null
+/// semantics — counts and (integer, hence exact) weight masses.
 TEST(PatternUniverseTest, RandomizedQueriesMatchCountMatchesBothSemantics) {
   Rng rng(20260806);
   MicrodataTable t("oracle", {{"A", "", AttributeCategory::kQuasiIdentifier},
@@ -253,7 +258,7 @@ TEST(PatternUniverseTest, RandomizedQueriesMatchCountMatchesBothSemantics) {
   const auto qis = t.QuasiIdentifierColumns();
   for (const NullSemantics sem :
        {NullSemantics::kMaybeMatch, NullSemantics::kStandard}) {
-    const PatternUniverse universe(t, qis, sem);
+    const GroupIndex universe(t, qis, sem);
     for (int trial = 0; trial < 200; ++trial) {
       std::vector<Value> q;
       for (size_t c = 0; c < qis.size(); ++c) {
@@ -264,7 +269,10 @@ TEST(PatternUniverseTest, RandomizedQueriesMatchCountMatchesBothSemantics) {
         }
       }
       const PatternMass got = universe.Query(q);
-      ASSERT_DOUBLE_EQ(got.count, CountMatches(t, qis, q, sem))
+      const PatternMass want = ReferencePatternMass(t, qis, q, sem);
+      ASSERT_EQ(got.count, want.count)
+          << "semantics " << static_cast<int>(sem) << " trial " << trial;
+      ASSERT_EQ(got.weight, want.weight)
           << "semantics " << static_cast<int>(sem) << " trial " << trial;
     }
   }
@@ -303,7 +311,8 @@ TEST(GroupIndexTest, MoreThan32QuasiIdentifiers) {
 
 /// The incremental index must track a from-scratch recomputation through a
 /// random sequence of cell suppressions, for both semantics: frequencies
-/// exactly, weight sums to FP tolerance, and Query against CountMatches.
+/// exactly, weight sums to FP tolerance, and Query against the reference
+/// scan.
 TEST(GroupIndexTest, IncrementalUpdateMatchesRebuild) {
   for (const NullSemantics sem :
        {NullSemantics::kMaybeMatch, NullSemantics::kStandard}) {
@@ -352,7 +361,7 @@ TEST(GroupIndexTest, IncrementalUpdateMatchesRebuild) {
         const size_t r = rng.NextBelow(t.num_rows());
         std::vector<Value> q = {t.cell(r, 0), t.cell(r, 1), t.cell(r, 2)};
         if (rng.NextDouble() < 0.5) q[rng.NextBelow(3)] = Value::Null(0);
-        ASSERT_DOUBLE_EQ(index.Query(q).count, CountMatches(t, qis, q, sem))
+        ASSERT_DOUBLE_EQ(index.Query(q).count, ReferencePatternMass(t, qis, q, sem).count)
             << "sem " << static_cast<int>(sem) << " step " << step;
       }
     }

@@ -51,7 +51,7 @@ TEST(QiChoiceTest, MostRiskyFirstPicksWidestReach) {
   const MicrodataTable t = Figure5Microdata();
   const auto qis = t.QuasiIdentifierColumns();
   LocalSuppression anon;
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
+  const GroupIndex universe(t, qis, NullSemantics::kMaybeMatch);
   auto col = ChooseQiColumn(t, qis, 0, QiChoice::kMostRiskyFirst, anon, universe);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(*col, 2u);  // Sector.
@@ -62,7 +62,7 @@ TEST(QiChoiceTest, FirstApplicableSkipsNulls) {
   t.set_cell(0, 1, Value::Null(1));  // Area already suppressed.
   const auto qis = t.QuasiIdentifierColumns();
   LocalSuppression anon;
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
+  const GroupIndex universe(t, qis, NullSemantics::kMaybeMatch);
   auto col = ChooseQiColumn(t, qis, 0, QiChoice::kFirstApplicable, anon, universe);
   ASSERT_TRUE(col.ok());
   EXPECT_EQ(*col, 2u);
@@ -72,7 +72,7 @@ TEST(QiChoiceTest, RarestValue) {
   const MicrodataTable t = Figure5Microdata();
   const auto qis = t.QuasiIdentifierColumns();
   LocalSuppression anon;
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
+  const GroupIndex universe(t, qis, NullSemantics::kMaybeMatch);
   // Row 0: Roma (x5), Textiles (x1), 1000+ (x5), 0-30 (x5): Textiles rarest.
   auto col = ChooseQiColumn(t, qis, 0, QiChoice::kRarestValue, anon, universe);
   ASSERT_TRUE(col.ok());
@@ -86,7 +86,7 @@ TEST(QiChoiceTest, NotFoundWhenNothingApplicable) {
   }
   const auto qis = t.QuasiIdentifierColumns();
   LocalSuppression anon;
-  const PatternUniverse universe(t, qis, NullSemantics::kMaybeMatch);
+  const GroupIndex universe(t, qis, NullSemantics::kMaybeMatch);
   const auto col = ChooseQiColumn(t, qis, 0, QiChoice::kMostRiskyFirst, anon, universe);
   EXPECT_FALSE(col.ok());
   EXPECT_EQ(col.status().code(), StatusCode::kNotFound);

@@ -220,5 +220,47 @@ TEST(BridgeTest, StandardSemanticsCycleInjectsMoreNulls) {
   EXPECT_GT(out_standard->CountNullCells(), out_maybe->CountNullCells());
 }
 
+/// #risk implements Algorithms 3 and 4 only: asked for another measure, both
+/// declarative cycles must refuse before chasing instead of releasing the
+/// k-anonymity answer under the requested measure's name.
+TEST(BridgeTest, RejectsMeasuresRiskDoesNotImplement) {
+  const MicrodataTable input = Figure5Microdata();
+  OwnershipGraph graph;
+  for (const char* measure : {"individual", "individual-risk", "suda", "no-such"}) {
+    BridgeOptions options;
+    options.risk_measure = measure;
+    EXPECT_EQ(ValidateBridgeMeasure(measure).code(), StatusCode::kInvalidArgument)
+        << measure;
+    const VadalogBridge bridge(options);
+    vadalog::RunStats stats;
+    auto basic = bridge.RunDeclarativeCycle(input, nullptr, &stats);
+    ASSERT_FALSE(basic.ok()) << measure;
+    EXPECT_EQ(basic.status().code(), StatusCode::kInvalidArgument) << measure;
+    EXPECT_EQ(stats.rounds, 0u) << "rejected before the chase ran";
+    auto enhanced = bridge.RunDeclarativeEnhancedCycle(input, graph, nullptr);
+    ASSERT_FALSE(enhanced.ok()) << measure;
+    EXPECT_EQ(enhanced.status().code(), StatusCode::kInvalidArgument) << measure;
+  }
+}
+
+/// The MakeRiskMeasure aliases of the two implemented measures run their own
+/// measure, not the k-anonymity fallback.
+TEST(BridgeTest, MeasureAliasesRunTheirOwnMeasure) {
+  const MicrodataTable input =
+      GenerateInflationGrowth("alias", 80, 4, DistributionKind::kUnbalanced, 3);
+  auto release = [&](const char* measure) {
+    BridgeOptions options;
+    options.risk_measure = measure;
+    auto out = VadalogBridge(options).RunDeclarativeCycle(input, nullptr, nullptr);
+    EXPECT_TRUE(out.ok()) << measure << ": " << out.status().ToString();
+    return out.ok() ? out->ToCsv().rows : std::vector<std::vector<std::string>>{};
+  };
+  const auto kanon = release("k-anonymity");
+  const auto reid = release("reidentification");
+  ASSERT_NE(kanon, reid) << "the table must tell the two measures apart";
+  EXPECT_EQ(release("kanonymity"), kanon);
+  EXPECT_EQ(release("re-identification"), reid);
+}
+
 }  // namespace
 }  // namespace vadasa::core

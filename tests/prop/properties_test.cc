@@ -45,13 +45,14 @@ TEST(PropCatalogTest, DefaultRunCoversAtLeast200Cases) {
       << "the prop suite must generate at least 200 cases per run";
 }
 
-/// The columnar data plane's acceptance bar: 220+ generated cases (labelled
-/// nulls, weights, duplicate rows) where the dictionary-coded plane must
-/// reproduce the row plane byte-for-byte — risks of all four measures plus a
-/// full audited cycle. A wider sweep than the per-property default because
-/// the plane switch silently rewires every grouping hot path.
-TEST(PropCatalogTest, ColumnarRowDifferentialWideSweep) {
-  const Property* property = FindProperty("columnar-vs-row-bit-identical");
+/// The grouping acceptance bar: 220+ generated cases (labelled nulls,
+/// weights, duplicate rows) where the code-space grouping path must equal the
+/// pairwise reference of the match relation — group stats under both
+/// semantics, the risks of all four measures, the incremental index across
+/// random suppressions, and a full audited cycle. A wider sweep than the
+/// per-property default because every risk measure rests on this path.
+TEST(PropCatalogTest, GroupingReferenceOracleWideSweep) {
+  const Property* property = FindProperty("grouping-matches-reference-oracle");
   ASSERT_NE(property, nullptr);
   HarnessOptions options;
   options.cases_per_property = 220;
@@ -62,7 +63,7 @@ TEST(PropCatalogTest, ColumnarRowDifferentialWideSweep) {
     diagnostics += "\n--- shrunk repro ---\n" + ReproToString(repro);
   }
   EXPECT_EQ(report.failures, 0u)
-      << "columnar plane diverged from the row plane on " << report.failures
+      << "grouping diverged from the reference oracle on " << report.failures
       << "/" << report.cases_run << " cases" << diagnostics;
 }
 
@@ -90,9 +91,9 @@ TEST(PropCatalogTest, ChaosServeNeverCorruptsWideSweep) {
 /// The incremental-maintenance acceptance bar (docs/api.md §"Streaming
 /// deltas"): 220+ generated cases, each streaming chained random delta
 /// batches (appends, updates, deletes, labelled-null suppressions) through
-/// Session::Apply on both data planes. Every step's risks, released bytes,
-/// and audit text must be byte-identical to a cold session built from
-/// scratch over the post-delta table.
+/// Session::Apply. Every step's risks, released bytes, and audit text must be
+/// byte-identical to a cold session built from scratch over the post-delta
+/// table.
 TEST(PropCatalogTest, DeltaVsFullRecomputeWideSweep) {
   const Property* property = FindProperty("delta-vs-full-recompute-bit-identical");
   ASSERT_NE(property, nullptr);
@@ -111,10 +112,10 @@ TEST(PropCatalogTest, DeltaVsFullRecomputeWideSweep) {
 
 /// The result-cache coherence acceptance bar (docs/serving.md): 220+
 /// generated cases, each priming hot policies, interleaving them with
-/// unique-policy traffic, and replacing the dataset's content mid-stream —
-/// on both data planes. Every hit must replay the cold run's exact bytes,
-/// every unique policy must miss, and the first request after a one-cell
-/// edit must miss and match the edited table's cold reference.
+/// unique-policy traffic, and replacing the dataset's content mid-stream.
+/// Every hit must replay the cold run's exact bytes, every unique policy must
+/// miss, and the first request after a one-cell edit must miss and match the
+/// edited table's cold reference.
 TEST(PropCatalogTest, CachedResultBitIdenticalWideSweep) {
   const Property* property = FindProperty("cached-result-bit-identical");
   ASSERT_NE(property, nullptr);

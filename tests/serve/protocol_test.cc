@@ -235,6 +235,57 @@ TEST(ProtocolDeltaCacheTest, ApplyDeltaNeverServesStaleCachedResults) {
   EXPECT_EQ(rehot["risk"].Dump(), fresh["risk"].Dump());
 }
 
+/// A `"declarative":true` submit for a measure the declarative pipeline does
+/// not implement is refused at submit, before the result cache is consulted:
+/// a payload planted under the exact key such a job would use is never
+/// served.
+TEST(ProtocolDeclarativeTest, UnimplementedMeasuresAreRejectedBeforeTheCache) {
+  ResultCache cache;
+  DatasetRegistry registry;
+  registry.set_result_cache(&cache);
+  const core::MicrodataTable table = core::Figure5Microdata();
+  ASSERT_TRUE(registry.Register("fig5", table).ok());
+  SchedulerOptions options;
+  options.result_cache = &cache;
+  JobScheduler scheduler(options);
+  Protocol protocol(&registry, &scheduler);
+
+  for (const char* measure : {"individual", "suda"}) {
+    api::SessionOptions session_options;
+    session_options.risk_measure = measure;
+    session_options.declarative = true;
+    CachedResult planted;
+    planted.anonymize.table = table;
+    cache.Put(ResultCacheKey(FingerprintTable(table),
+                             CanonicalPolicyKey(session_options, JobAction::kAnonymize,
+                                                -1.0, false)),
+              "fig5", std::move(planted));
+
+    bool shutdown = false;
+    auto response = Json::Parse(protocol.Handle(
+        std::string(R"({"op":"submit","dataset":"fig5","action":"anonymize",)") +
+            R"("declarative":true,"measure":")" + measure + R"("})",
+        &shutdown));
+    ASSERT_TRUE(response.ok());
+    EXPECT_FALSE(response->GetBool("ok", true)) << response->Dump();
+    EXPECT_EQ(response->GetString("code", ""), "InvalidArgument") << measure;
+  }
+
+  // The implemented measures still run declaratively.
+  bool shutdown = false;
+  auto submitted = Json::Parse(protocol.Handle(
+      R"({"op":"submit","dataset":"fig5","action":"anonymize","declarative":true,)"
+      R"("measure":"reidentification"})",
+      &shutdown));
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(submitted->GetBool("ok", false)) << submitted->Dump();
+  auto result = Json::Parse(protocol.Handle(
+      R"({"op":"result","id":)" + std::to_string(submitted->GetInt("id", 0)) + "}",
+      &shutdown));
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->GetString("state", ""), "done") << result->Dump();
+}
+
 TEST_F(ProtocolTest, CancelUnknownJobFails) {
   const Json cancelled = Call(R"({"op":"cancel","id":12345})");
   EXPECT_FALSE(cancelled.GetBool("ok", true));
