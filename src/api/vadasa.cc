@@ -160,26 +160,34 @@ Result<RiskReport> Session::Risk(double quantile, bool explain) const {
   VADASA_ASSIGN_OR_RETURN(const auto measure,
                           core::MakeRiskMeasure(options_.risk_measure));
   const core::RiskContext ctx = MakeRiskContext();
+  const auto qis = ctx.ResolveQiColumns(*table_);
+  // One evaluation per report: the risk vector is computed once through one
+  // cache, which holds the group stats (this session's warm stats, else one
+  // grouping pass) and the measure's memo (SUDA's MSU details). The global
+  // report, the explanations and the inferred threshold are derived from it.
+  core::RiskEvalCache cache;
+  cache.AdoptWarmStats(qis, ctx.semantics, warm_, warm_view_);
   RiskReport report;
   report.threshold = options_.threshold;
-  VADASA_ASSIGN_OR_RETURN(report.tuple_risks, measure->ComputeRisks(*table_, ctx));
-  VADASA_ASSIGN_OR_RETURN(
-      report.global,
-      core::ComputeGlobalRisk(*table_, *measure, ctx, options_.threshold));
+  VADASA_ASSIGN_OR_RETURN(report.tuple_risks,
+                          measure->ComputeRisks(*table_, ctx, &cache));
+  report.global = core::SummarizeGlobalRisk(
+      report.tuple_risks, cache.Stats(*table_, qis, ctx.semantics).frequency,
+      options_.threshold);
   for (size_t r = 0; r < report.tuple_risks.size(); ++r) {
     if (report.tuple_risks[r] > options_.threshold) {
       RiskyTuple risky;
       risky.row = r;
       risky.risk = report.tuple_risks[r];
       if (explain) {
-        risky.explanation = measure->Explain(*table_, ctx, r, risky.risk);
+        risky.explanation = measure->Explain(*table_, ctx, r, risky.risk, &cache);
       }
       report.risky.push_back(std::move(risky));
     }
   }
   if (quantile > 0.0) {
     VADASA_ASSIGN_OR_RETURN(report.inferred_threshold,
-                            core::InferThreshold(*table_, *measure, ctx, quantile));
+                            core::QuantileThreshold(report.tuple_risks, quantile));
   }
   return report;
 }

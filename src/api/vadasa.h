@@ -142,7 +142,9 @@ class Session {
 
   /// Per-tuple + file-level risk under the session policy. `quantile` in
   /// (0,1) additionally infers the threshold at that quantile (< 0 = skip).
-  /// `explain` attaches justifications to the over-threshold tuples.
+  /// `explain` attaches justifications to the over-threshold tuples. The
+  /// report is one risk evaluation: one grouping pass on a cold session,
+  /// none on a warm or adopted one, however many tuples are explained.
   Result<RiskReport> Risk(double quantile = -1.0, bool explain = true) const;
 
   /// The statistically inferred threshold at `quantile` (Section 1).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "core/group_index.h"
 
@@ -16,13 +17,10 @@ std::string GlobalRiskReport::ToString() const {
   return os.str();
 }
 
-Result<GlobalRiskReport> ComputeGlobalRisk(const MicrodataTable& table,
-                                           const RiskMeasure& measure,
-                                           const RiskContext& context,
-                                           double threshold) {
+GlobalRiskReport SummarizeGlobalRisk(const std::vector<double>& risks,
+                                     const std::vector<double>& frequency,
+                                     double threshold) {
   GlobalRiskReport report;
-  VADASA_ASSIGN_OR_RETURN(const std::vector<double> risks,
-                          measure.ComputeRisks(table, context));
   for (const double r : risks) {
     report.expected_reidentifications += r;
     report.max_risk = std::max(report.max_risk, r);
@@ -32,33 +30,40 @@ Result<GlobalRiskReport> ComputeGlobalRisk(const MicrodataTable& table,
     report.global_risk_rate =
         report.expected_reidentifications / static_cast<double>(risks.size());
   }
-  // Sample uniques need group frequencies; reuse the context's warm stats
-  // when they cover this table (same contract as the risk measures), else
-  // compute once — through the shared columnar view when one is supplied.
-  GroupStats scratch;
-  const GroupStats* stats = context.warm_stats != nullptr &&
-                                    context.warm_stats->frequency.size() ==
-                                        table.num_rows()
-                                ? context.warm_stats.get()
-                                : nullptr;
-  if (stats == nullptr) {
-    scratch = ComputeGroupStats(table, context.ResolveQiColumns(table),
-                                context.semantics, context.warm_view);
-    stats = &scratch;
-  }
-  for (const double f : stats->frequency) {
+  for (const double f : frequency) {
     if (f == 1.0) ++report.sample_uniques;
   }
   return report;
 }
 
-Result<double> InferThreshold(const MicrodataTable& table, const RiskMeasure& measure,
-                              const RiskContext& context, double quantile) {
+Result<GlobalRiskReport> ComputeGlobalRisk(const MicrodataTable& table,
+                                           const RiskMeasure& measure,
+                                           const RiskContext& context,
+                                           double threshold) {
+  // One evaluation through a cache primed with the context's warm stats: a
+  // grouping measure builds (or reads) the stats the uniqueness count reuses.
+  const auto qis = context.ResolveQiColumns(table);
+  RiskEvalCache cache;
+  cache.AdoptWarmStats(qis, context.semantics, context.warm_stats, context.warm_view);
+  VADASA_ASSIGN_OR_RETURN(const std::vector<double> risks,
+                          measure.ComputeRisks(table, context, &cache));
+  return SummarizeGlobalRisk(risks, cache.Stats(table, qis, context.semantics).frequency,
+                             threshold);
+}
+
+namespace {
+
+Status ValidateQuantile(double quantile) {
   if (quantile <= 0.0 || quantile >= 1.0) {
     return Status::InvalidArgument("quantile must be in (0, 1)");
   }
-  VADASA_ASSIGN_OR_RETURN(std::vector<double> risks,
-                          measure.ComputeRisks(table, context));
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<double> QuantileThreshold(std::vector<double> risks, double quantile) {
+  VADASA_RETURN_NOT_OK(ValidateQuantile(quantile));
   if (risks.empty()) {
     return Status::FailedPrecondition("cannot infer a threshold from an empty table");
   }
@@ -66,6 +71,14 @@ Result<double> InferThreshold(const MicrodataTable& table, const RiskMeasure& me
   size_t index = static_cast<size_t>(quantile * static_cast<double>(risks.size()));
   if (index >= risks.size()) index = risks.size() - 1;
   return risks[index];
+}
+
+Result<double> InferThreshold(const MicrodataTable& table, const RiskMeasure& measure,
+                              const RiskContext& context, double quantile) {
+  VADASA_RETURN_NOT_OK(ValidateQuantile(quantile));
+  VADASA_ASSIGN_OR_RETURN(std::vector<double> risks,
+                          measure.ComputeRisks(table, context));
+  return QuantileThreshold(std::move(risks), quantile);
 }
 
 }  // namespace vadasa::core

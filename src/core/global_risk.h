@@ -30,12 +30,25 @@ struct GlobalRiskReport {
   std::string ToString() const;
 };
 
+/// The file-level report of one already computed evaluation: `risks` are
+/// the per-tuple risks and `frequency` the group frequencies of the same
+/// table's rows (a row of frequency 1 is a sample unique).
+GlobalRiskReport SummarizeGlobalRisk(const std::vector<double>& risks,
+                                     const std::vector<double>& frequency,
+                                     double threshold);
+
 /// Evaluates the file-level report using `measure` for the per-tuple risks
-/// and the table's own frequencies for the uniqueness count.
+/// and the table's own frequencies for the uniqueness count. The table is
+/// grouped once: the uniqueness count reads the stats the measure's
+/// evaluation grouped (or the context's warm stats), not a second pass.
 Result<GlobalRiskReport> ComputeGlobalRisk(const MicrodataTable& table,
                                            const RiskMeasure& measure,
                                            const RiskContext& context,
                                            double threshold);
+
+/// The risk value at `quantile` of an already computed risk vector — the
+/// threshold InferThreshold infers from that evaluation.
+Result<double> QuantileThreshold(std::vector<double> risks, double quantile);
 
 /// Statistically infers the cycle threshold T from the data (the paper's
 /// "statistically inferred or defined by the domain experts", Section 1):

@@ -552,6 +552,7 @@ GroupStats ComputeGroupStats(const MicrodataTable& table,
                              const std::vector<size_t>& qi_columns,
                              NullSemantics semantics,
                              std::shared_ptr<const ColumnarView> shared_view) {
+  VADASA_METRIC_COUNT("group_stats.computed", 1);
   const size_t n = table.num_rows();
   CodeRows rows;
   rows.view = std::move(shared_view);
@@ -785,6 +786,11 @@ struct RiskEvalCache::Impl {
   std::map<std::string, std::shared_ptr<void>> memos;
   uint64_t version = 0;
 
+  /// AdoptWarmStats state, valid until the first NotifyRowsChanged.
+  Key warm_key{{}, NullSemantics::kMaybeMatch};
+  std::shared_ptr<const GroupStats> warm_stats;
+  std::shared_ptr<const ColumnarView> warm_view;
+
   /// One columnar materialization shared by every index of this cache (and
   /// by the cycle's pattern guards).
   std::shared_ptr<ColumnarView> view;
@@ -825,13 +831,31 @@ GroupIndex& RiskEvalCache::Index(const MicrodataTable& table,
 const GroupStats& RiskEvalCache::Stats(const MicrodataTable& table,
                                        const std::vector<size_t>& qi_columns,
                                        NullSemantics semantics) {
+  const std::shared_ptr<const GroupStats>& warm = impl_->warm_stats;
+  if (warm != nullptr && warm->frequency.size() == table.num_rows() &&
+      impl_->warm_key.semantics == semantics && impl_->warm_key.qis == qi_columns) {
+    VADASA_METRIC_COUNT("risk.warm_stats_hits", 1);
+    return *warm;
+  }
   return Index(table, qi_columns, semantics).Stats();
+}
+
+void RiskEvalCache::AdoptWarmStats(const std::vector<size_t>& qi_columns,
+                                   NullSemantics semantics,
+                                   std::shared_ptr<const GroupStats> stats,
+                                   std::shared_ptr<const ColumnarView> view) {
+  if (stats == nullptr) return;
+  impl_->warm_key = Impl::Key{qi_columns, semantics};
+  impl_->warm_stats = std::move(stats);
+  impl_->warm_view = std::move(view);
 }
 
 void RiskEvalCache::NotifyRowsChanged(const MicrodataTable& table,
                                       const std::vector<uint32_t>& rows) {
   ++impl_->version;
   impl_->memos.clear();
+  impl_->warm_stats.reset();
+  impl_->warm_view.reset();
   if (impl_->view != nullptr) {
     if (table.num_rows() != impl_->view->num_rows()) {
       // Shape changed: rematerialize and hand the fresh view to every index
@@ -854,6 +878,10 @@ void RiskEvalCache::NotifyRowsChanged(const MicrodataTable& table,
 
 std::shared_ptr<const ColumnarView> RiskEvalCache::SharedView(
     const MicrodataTable& table) {
+  const std::shared_ptr<const ColumnarView>& warm = impl_->warm_view;
+  if (impl_->view == nullptr && warm != nullptr && warm->num_rows() == table.num_rows()) {
+    return warm;
+  }
   return impl_->EnsureView(table);
 }
 

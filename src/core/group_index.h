@@ -208,10 +208,23 @@ class RiskEvalCache {
   GroupIndex& Index(const MicrodataTable& table, const std::vector<size_t>& qi_columns,
                     NullSemantics semantics);
 
-  /// Shorthand for Index(...).Stats().
+  /// Index(...).Stats(), unless statistics for this projection were adopted
+  /// via AdoptWarmStats: those are returned as they are, without building an
+  /// index.
   const GroupStats& Stats(const MicrodataTable& table,
                           const std::vector<size_t>& qi_columns,
                           NullSemantics semantics);
+
+  /// Adopts group statistics (and, optionally, the columnar view they were
+  /// computed through) that already cover the table's current contents for
+  /// this projection — a warm api::Session's, see RiskContext::warm_stats.
+  /// Stats() then serves them and SharedView() the view, so a report
+  /// evaluated through this cache pays no grouping pass. Index() still builds
+  /// on demand. The first NotifyRowsChanged drops both; a null `stats` is a
+  /// no-op.
+  void AdoptWarmStats(const std::vector<size_t>& qi_columns, NullSemantics semantics,
+                      std::shared_ptr<const GroupStats> stats,
+                      std::shared_ptr<const ColumnarView> view = nullptr);
 
   /// Reports that the given rows of the table were mutated since the last
   /// call. Updates the shared columnar view once (all indexes read the same
@@ -223,7 +236,8 @@ class RiskEvalCache {
   /// The columnar view shared by this cache's indexes, created on first use
   /// (and recreated when the table shape changes); never null. The cycle and
   /// SUDA reuse it for code-space pattern guards and projections instead of
-  /// materializing their own.
+  /// materializing their own. Until the cache has materialized its own view,
+  /// an adopted warm view is returned instead.
   std::shared_ptr<const ColumnarView> SharedView(const MicrodataTable& table);
 
   /// Bumped on every NotifyRowsChanged; lets measures key their own state.

@@ -64,8 +64,9 @@ Result<std::shared_ptr<const GroupStats>> ComputeWarmGroupStats(
 /// in [0,1]; a tuple is "risky" when its risk exceeds the cycle threshold T.
 ///
 /// `cache` (optional) memoizes group statistics and measure-specific state
-/// across the calls of one cycle iteration — Explain reuses what ComputeRisks
-/// already computed instead of re-deriving full group stats per logged row.
+/// across the calls of one cycle iteration or one risk report — Explain
+/// reuses what ComputeRisks already computed instead of re-deriving full
+/// group stats per explained row.
 /// The cache's owner must report table mutations via
 /// RiskEvalCache::NotifyRowsChanged. Passing nullptr always recomputes.
 class RiskMeasure {

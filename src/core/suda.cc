@@ -163,9 +163,8 @@ void FindMsus(const std::vector<std::vector<uint32_t>>& proj, int q, int max_siz
 
 }  // namespace
 
-Result<SudaDetails> SudaRisk::ComputeDetails(const MicrodataTable& table,
-                                             const RiskContext& context,
-                                             RiskEvalCache* cache) const {
+Result<std::shared_ptr<const SudaDetails>> SudaRisk::SharedDetails(
+    const MicrodataTable& table, const RiskContext& context, RiskEvalCache* cache) const {
   const auto qis = context.ResolveQiColumns(table);
   const int q = static_cast<int>(qis.size());
   if (q > 20) {
@@ -175,13 +174,13 @@ Result<SudaDetails> SudaRisk::ComputeDetails(const MicrodataTable& table,
   const std::string memo_key = DetailsMemoKey(context, options_, qis);
   if (cache != nullptr) {
     if (auto memo = cache->Memo(memo_key)) {
-      return *std::static_pointer_cast<SudaDetails>(memo);
+      return std::static_pointer_cast<const SudaDetails>(memo);
     }
   }
   const size_t n = table.num_rows();
-  SudaDetails details;
-  details.msus.assign(n, {});
-  if (q == 0 || n == 0) return details;
+  auto details = std::make_shared<SudaDetails>();
+  details->msus.assign(n, {});
+  if (q == 0 || n == 0) return std::shared_ptr<const SudaDetails>(std::move(details));
 
   const int max_size =
       options_.max_search_size > 0 ? std::min(options_.max_search_size, q)
@@ -205,20 +204,31 @@ Result<SudaDetails> SudaRisk::ComputeDetails(const MicrodataTable& table,
     proj[r].reserve(cols.size());
     for (const uint32_t* col : cols) proj[r].push_back(col[r]);
   }
-  FindMsus(proj, q, max_size, options_.exhaustive, &details);
-  if (cache != nullptr) cache->SetMemo(memo_key, std::make_shared<SudaDetails>(details));
-  return details;
+  FindMsus(proj, q, max_size, options_.exhaustive, details.get());
+  VADASA_METRIC_COUNT("suda.searches", 1);
+  VADASA_METRIC_COUNT("suda.combos_evaluated", details->combos_evaluated);
+  VADASA_METRIC_COUNT("suda.combos_pruned", details->combos_pruned);
+  if (cache != nullptr) cache->SetMemo(memo_key, details);
+  return std::shared_ptr<const SudaDetails>(std::move(details));
+}
+
+Result<SudaDetails> SudaRisk::ComputeDetails(const MicrodataTable& table,
+                                             const RiskContext& context,
+                                             RiskEvalCache* cache) const {
+  VADASA_ASSIGN_OR_RETURN(const std::shared_ptr<const SudaDetails> details,
+                          SharedDetails(table, context, cache));
+  return *details;
 }
 
 Result<std::vector<double>> SudaRisk::ComputeRisks(const MicrodataTable& table,
                                                    const RiskContext& context,
                                                    RiskEvalCache* cache) const {
   obs::Span span("risk.compute.suda");
-  VADASA_ASSIGN_OR_RETURN(const SudaDetails details,
-                          ComputeDetails(table, context, cache));
+  VADASA_ASSIGN_OR_RETURN(const std::shared_ptr<const SudaDetails> details,
+                          SharedDetails(table, context, cache));
   std::vector<double> risks(table.num_rows(), 0.0);
   for (size_t r = 0; r < risks.size(); ++r) {
-    for (const MinimalSampleUnique& msu : details.msus[r]) {
+    for (const MinimalSampleUnique& msu : details->msus[r]) {
       // Rule 8: dangerous when very few attributes disclose the identity.
       if (msu.size < context.k) {
         risks[r] = 1.0;
@@ -232,13 +242,13 @@ Result<std::vector<double>> SudaRisk::ComputeRisks(const MicrodataTable& table,
 Result<std::vector<double>> SudaRisk::ComputeScores(const MicrodataTable& table,
                                                     const RiskContext& context,
                                                     RiskEvalCache* cache) const {
-  VADASA_ASSIGN_OR_RETURN(const SudaDetails details,
-                          ComputeDetails(table, context, cache));
+  VADASA_ASSIGN_OR_RETURN(const std::shared_ptr<const SudaDetails> details,
+                          SharedDetails(table, context, cache));
   const auto qis = context.ResolveQiColumns(table);
   const int m = static_cast<int>(qis.size());
   std::vector<double> scores(table.num_rows(), 0.0);
   for (size_t r = 0; r < scores.size(); ++r) {
-    for (const MinimalSampleUnique& msu : details.msus[r]) {
+    for (const MinimalSampleUnique& msu : details->msus[r]) {
       scores[r] += std::pow(2.0, std::max(0, m - msu.size));
     }
   }
@@ -256,10 +266,10 @@ std::vector<double> NormalizeSudaScores(std::vector<double> scores) {
 
 std::string SudaRisk::Explain(const MicrodataTable& table, const RiskContext& context,
                               size_t row, double risk, RiskEvalCache* cache) const {
-  auto details = ComputeDetails(table, context, cache);
+  auto details = SharedDetails(table, context, cache);
   if (!details.ok()) return "suda: " + details.status().ToString();
   const auto qis = context.ResolveQiColumns(table);
-  const auto& msus = details->msus[row];
+  const auto& msus = (*details)->msus[row];
   if (msus.empty()) return "no sample unique: tuple is not SUDA-risky";
   std::string out = std::to_string(msus.size()) + " MSU(s):";
   for (const auto& msu : msus) {

@@ -2,6 +2,7 @@
 #define VADASA_CORE_SUDA_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/risk.h"
@@ -63,9 +64,10 @@ class SudaRisk : public RiskMeasure {
                       size_t row, double risk,
                       RiskEvalCache* cache = nullptr) const override;
 
-  /// Runs the MSU search and returns per-row details. With a cache, the
-  /// details of the current table version are memoized, so ComputeRisks +
-  /// per-row Explain within one cycle iteration share a single search.
+  /// Runs the MSU search and returns a copy of the per-row details. With a
+  /// cache, the details of the current table version are memoized, so
+  /// ComputeRisks + per-row Explain within one cycle iteration or one risk
+  /// report share a single search.
   Result<SudaDetails> ComputeDetails(const MicrodataTable& table,
                                      const RiskContext& context,
                                      RiskEvalCache* cache = nullptr) const;
@@ -80,6 +82,14 @@ class SudaRisk : public RiskMeasure {
                                             RiskEvalCache* cache = nullptr) const;
 
  private:
+  /// ComputeDetails without the copy: the measure's own readers share the
+  /// memoized details. Each search that actually runs counts `suda.searches`
+  /// and adds its combination counts to `suda.combos_evaluated` and
+  /// `suda.combos_pruned`.
+  Result<std::shared_ptr<const SudaDetails>> SharedDetails(const MicrodataTable& table,
+                                                           const RiskContext& context,
+                                                           RiskEvalCache* cache) const;
+
   SudaOptions options_;
 };
 

@@ -684,6 +684,126 @@ Status EvalDeltaVsFullRecompute(const ReproCase& repro) {
   return Status::OK();
 }
 
+/// The report the cache-less core calls compose, field by field — what
+/// Session::Risk(quantile, explain=true) computed before it became one
+/// evaluation.
+Result<api::RiskReport> ComposedRiskReport(const MicrodataTable& table,
+                                           const core::RiskMeasure& measure,
+                                           const RiskContext& ctx, double threshold,
+                                           double quantile) {
+  api::RiskReport report;
+  report.threshold = threshold;
+  VADASA_ASSIGN_OR_RETURN(report.tuple_risks, measure.ComputeRisks(table, ctx));
+  VADASA_ASSIGN_OR_RETURN(report.global,
+                          core::ComputeGlobalRisk(table, measure, ctx, threshold));
+  for (size_t r = 0; r < report.tuple_risks.size(); ++r) {
+    if (report.tuple_risks[r] <= threshold) continue;
+    api::RiskyTuple risky;
+    risky.row = r;
+    risky.risk = report.tuple_risks[r];
+    risky.explanation = measure.Explain(table, ctx, r, risky.risk, nullptr);
+    report.risky.push_back(std::move(risky));
+  }
+  VADASA_ASSIGN_OR_RETURN(report.inferred_threshold,
+                          core::InferThreshold(table, measure, ctx, quantile));
+  return report;
+}
+
+/// Empty when `got` equals `want` bit for bit, else the first difference.
+std::string DiffRiskReports(const api::RiskReport& got, const api::RiskReport& want) {
+  if (got.tuple_risks != want.tuple_risks) return "tuple risks differ";
+  if (got.threshold != want.threshold) return "threshold differs";
+  const core::GlobalRiskReport& g = got.global;
+  const core::GlobalRiskReport& w = want.global;
+  if (g.expected_reidentifications != w.expected_reidentifications ||
+      g.global_risk_rate != w.global_risk_rate ||
+      g.tuples_over_threshold != w.tuples_over_threshold || g.max_risk != w.max_risk ||
+      g.sample_uniques != w.sample_uniques) {
+    return "global report differs: " + g.ToString() + " vs " + w.ToString();
+  }
+  if (got.risky.size() != want.risky.size()) {
+    return std::to_string(got.risky.size()) + " risky tuples, composed " +
+           std::to_string(want.risky.size());
+  }
+  for (size_t i = 0; i < got.risky.size(); ++i) {
+    const api::RiskyTuple& a = got.risky[i];
+    const api::RiskyTuple& b = want.risky[i];
+    if (a.row != b.row || a.risk != b.risk || a.explanation != b.explanation) {
+      return "risky tuple " + std::to_string(i) + " differs: row " + std::to_string(a.row) +
+             " \"" + a.explanation + "\" vs row " + std::to_string(b.row) + " \"" +
+             b.explanation + "\"";
+    }
+  }
+  if (got.inferred_threshold != want.inferred_threshold) {
+    return "inferred threshold differs";
+  }
+  return "";
+}
+
+Status EvalRiskReportMatchesComposedCalls(const ReproCase& repro) {
+  // Session::Risk derives the whole report from one evaluation (one grouping
+  // pass, one risk vector, one SUDA search). Cold, warmed and adopted
+  // sessions must all reproduce the cache-less composition exactly,
+  // explanation strings included.
+  const int k = static_cast<int>(ParamU64(repro, "k", 2));
+  const double threshold = ParamDouble(repro, "threshold", 0.5);
+  const double quantile = ParamDouble(repro, "quantile", 0.9);
+  const int draws = static_cast<int>(ParamU64(repro, "draws", 0));
+  const auto shared = std::make_shared<const MicrodataTable>(repro.table);
+  for (const char* name : {"k-anonymity", "reidentification", "individual", "suda"}) {
+    for (const bool standard : {false, true}) {
+      api::SessionOptions options;
+      options.risk_measure = name;
+      options.k = k;
+      options.threshold = threshold;
+      options.standard_nulls = standard;
+      options.posterior_draws = draws;
+      RiskContext ctx;
+      ctx.k = k;
+      ctx.semantics = standard ? NullSemantics::kStandard : NullSemantics::kMaybeMatch;
+      ctx.posterior_draws = draws;
+      ctx.seed = options.seed;
+      VADASA_ASSIGN_OR_RETURN(const auto measure, core::MakeRiskMeasure(name));
+      const Result<api::RiskReport> want =
+          ComposedRiskReport(*shared, *measure, ctx, threshold, quantile);
+
+      VADASA_ASSIGN_OR_RETURN(api::Session cold,
+                              api::Session::FromShared(shared, nullptr, options));
+      VADASA_ASSIGN_OR_RETURN(api::Session warm,
+                              api::Session::FromShared(shared, nullptr, options));
+      VADASA_RETURN_NOT_OK(warm.Warm());
+      VADASA_ASSIGN_OR_RETURN(api::Session adopted,
+                              api::Session::FromShared(shared, nullptr, options));
+      VADASA_ASSIGN_OR_RETURN(auto stats, core::ComputeWarmGroupStats(*shared, ctx));
+      adopted.AdoptWarmStats(std::move(stats));
+
+      const std::pair<const char*, const api::Session*> kSessions[] = {
+          {"cold", &cold}, {"warm", &warm}, {"adopted", &adopted}};
+      for (const auto& [label, session] : kSessions) {
+        const std::string where = std::string(name) + "/" +
+                                  (standard ? "standard" : "maybe-match") + "/" + label;
+        const Result<api::RiskReport> got = session->Risk(quantile, /*explain=*/true);
+        if (got.ok() != want.ok()) {
+          return Status::FailedPrecondition(
+              where + ": report status " + got.status().ToString() + ", composed " +
+              want.status().ToString());
+        }
+        if (!got.ok()) {
+          if (got.status().ToString() != want.status().ToString()) {
+            return Status::FailedPrecondition(where + ": error " +
+                                              got.status().ToString() + ", composed " +
+                                              want.status().ToString());
+          }
+          continue;
+        }
+        const std::string diff = DiffRiskReports(*got, *want);
+        if (!diff.empty()) return Status::FailedPrecondition(where + ": " + diff);
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Status EvalCachedResultBitIdentical(const ReproCase& repro) {
   // The result-cache coherence contract (docs/serving.md): a hit replays the
   // exact bytes of the cold run it memoized, a primed hot policy keeps
@@ -1156,6 +1276,27 @@ std::vector<Property> BuildCatalog() {
          return repro;
        },
        EvalDeltaVsFullRecompute});
+
+  catalog.push_back(
+      {"risk-report-matches-composed-calls",
+       "a one-evaluation risk report (cold, warmed or adopted session) equals "
+       "the cache-less ComputeRisks/ComputeGlobalRisk/Explain/InferThreshold "
+       "composition bit for bit",
+       false,
+       [](Rng* rng, uint64_t i) {
+         TableGenOptions options;
+         options.max_rows = 32;  // Composed SUDA explanations search per row.
+         options.null_probability = 0.1;
+         ReproCase repro =
+             TableCase("risk-report-matches-composed-calls", rng, i, options);
+         repro.params["k"] = std::to_string(rng->NextInt(2, 4));
+         repro.params["threshold"] =
+             std::to_string(rng->NextDouble() < 0.5 ? 0.34 : 0.5);
+         repro.params["quantile"] = rng->NextDouble() < 0.5 ? "0.5" : "0.9";
+         repro.params["draws"] = rng->NextDouble() < 0.25 ? "16" : "0";
+         return repro;
+       },
+       EvalRiskReportMatchesComposedCalls});
 
   catalog.push_back(
       {"cached-result-bit-identical",

@@ -6,6 +6,7 @@
 #include "core/cycle.h"
 #include "core/datagen.h"
 #include "core/report.h"
+#include "obs/metrics.h"
 
 namespace vadasa::api {
 namespace {
@@ -317,6 +318,103 @@ TEST(SessionTest, SharedTableServesManySessions) {
   ASSERT_TRUE(risks_b.ok());
   // Different k policies over the same shared snapshot stay independent.
   EXPECT_GE(risks_b->risky.size(), risks_a->risky.size());
+}
+
+/// `unique_rows` rows that are unique on the first QI column (risky under
+/// every measure: k-anonymity, re-identification and individual risk see a
+/// singleton group of weight 1, SUDA an MSU of size 1), followed by 200 rows
+/// drawn from a handful of repeated combinations.
+MicrodataTable TableWithUniqueRows(size_t unique_rows) {
+  MicrodataTable table(
+      "uniques", {{"Id", "", core::AttributeCategory::kIdentifier},
+                  {"Area", "", core::AttributeCategory::kQuasiIdentifier},
+                  {"Sector", "", core::AttributeCategory::kQuasiIdentifier},
+                  {"Size", "", core::AttributeCategory::kQuasiIdentifier}});
+  const char* kSectors[] = {"Textiles", "Commerce", "Financial"};
+  for (size_t i = 0; i < unique_rows + 200; ++i) {
+    const bool unique = i < unique_rows;
+    EXPECT_TRUE(table
+                    .AddRow({Value::String("c" + std::to_string(i)),
+                             Value::String(unique ? "U" + std::to_string(i)
+                                                  : (i % 2 == 0 ? "Roma" : "Milano")),
+                             Value::String(kSectors[i % 3]),
+                             Value::String(i % 4 < 2 ? "small" : "large")})
+                    .ok());
+  }
+  return table;
+}
+
+uint64_t CounterValue(const std::string& name) {
+  return obs::MetricsRegistry::Global().counter(name)->value();
+}
+
+/// Full grouping passes: one-shot ComputeGroupStats plus GroupIndex builds.
+uint64_t FullGroupings() {
+  return CounterValue("group_stats.computed") + CounterValue("group_index.full_builds");
+}
+
+struct ReportCost {
+  uint64_t groupings = 0;
+  uint64_t suda_searches = 0;
+  size_t risky = 0;
+};
+
+ReportCost MeasureReport(const Session& session) {
+  const uint64_t groupings = FullGroupings();
+  const uint64_t searches = CounterValue("suda.searches");
+  auto report = session.Risk(/*quantile=*/0.9, /*explain=*/true);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  ReportCost cost;
+  cost.groupings = FullGroupings() - groupings;
+  cost.suda_searches = CounterValue("suda.searches") - searches;
+  if (report.ok()) {
+    cost.risky = report->risky.size();
+    for (const RiskyTuple& risky : report->risky) {
+      EXPECT_FALSE(risky.explanation.empty()) << "row " << risky.row;
+    }
+  }
+  return cost;
+}
+
+/// A risk report is one evaluation: a cold session groups the table exactly
+/// once and a warm or adopted one not at all, however many rows it explains;
+/// SUDA runs one MSU search per report.
+TEST(SessionTest, RiskReportGroupsOncePerReport) {
+  for (const char* measure : {"k-anonymity", "reidentification", "individual", "suda"}) {
+    SCOPED_TRACE(measure);
+    SessionOptions options;
+    options.risk_measure = measure;
+    const uint64_t expected_searches = std::string(measure) == "suda" ? 1 : 0;
+    for (const size_t unique_rows : {100, 250}) {
+      SCOPED_TRACE(unique_rows);
+      const auto table =
+          std::make_shared<const MicrodataTable>(TableWithUniqueRows(unique_rows));
+      auto cold = Session::FromShared(table, nullptr, options);
+      ASSERT_TRUE(cold.ok());
+      const ReportCost cold_cost = MeasureReport(*cold);
+      EXPECT_GE(cold_cost.risky, unique_rows);
+      EXPECT_EQ(cold_cost.groupings, 1u);
+      EXPECT_EQ(cold_cost.suda_searches, expected_searches);
+
+      auto warm = Session::FromShared(table, nullptr, options);
+      ASSERT_TRUE(warm.ok());
+      ASSERT_TRUE(warm->Warm().ok());
+      const ReportCost warm_cost = MeasureReport(*warm);
+      EXPECT_EQ(warm_cost.risky, cold_cost.risky);
+      EXPECT_EQ(warm_cost.groupings, 0u);
+      EXPECT_EQ(warm_cost.suda_searches, expected_searches);
+
+      // The serve scheduler's coalesced sessions: stats and view, no index.
+      auto adopted = Session::FromShared(table, nullptr, options);
+      ASSERT_TRUE(adopted.ok());
+      adopted->AdoptWarmStats(warm->warm_stats(), warm->warm_view());
+      ASSERT_EQ(adopted->delta_index(), nullptr);
+      const ReportCost adopted_cost = MeasureReport(*adopted);
+      EXPECT_EQ(adopted_cost.risky, cold_cost.risky);
+      EXPECT_EQ(adopted_cost.groupings, 0u);
+      EXPECT_EQ(adopted_cost.suda_searches, expected_searches);
+    }
+  }
 }
 
 }  // namespace

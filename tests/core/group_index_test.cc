@@ -388,6 +388,28 @@ TEST(RiskEvalCacheTest, MemoDroppedOnRowChange) {
   EXPECT_EQ(cache.incremental_updates(), 1u);
 }
 
+TEST(RiskEvalCacheTest, AdoptedWarmStatsServeUntilRowsChange) {
+  MicrodataTable t = Figure5Microdata();
+  const auto qis = t.QuasiIdentifierColumns();
+  const auto warm = std::make_shared<const GroupStats>(
+      ComputeGroupStats(t, qis, NullSemantics::kMaybeMatch));
+  RiskEvalCache cache;
+  cache.AdoptWarmStats(qis, NullSemantics::kMaybeMatch, warm);
+  EXPECT_EQ(&cache.Stats(t, qis, NullSemantics::kMaybeMatch), warm.get());
+  EXPECT_EQ(cache.full_builds(), 0u);
+  // Another projection is not covered by the adopted stats.
+  (void)cache.Stats(t, qis, NullSemantics::kStandard);
+  EXPECT_EQ(cache.full_builds(), 1u);
+
+  // A mutation invalidates them: Stats() now reflects the changed table.
+  t.set_cell(5, 1, Value::Null(1));
+  cache.NotifyRowsChanged(t, {5});
+  const GroupStats& after = cache.Stats(t, qis, NullSemantics::kMaybeMatch);
+  EXPECT_NE(&after, warm.get());
+  EXPECT_EQ(after.frequency,
+            ComputeGroupStats(t, qis, NullSemantics::kMaybeMatch).frequency);
+}
+
 /// A bare QI-only table for the degenerate-input checks below.
 MicrodataTable QiOnlyTable(size_t num_qi) {
   std::vector<Attribute> attrs;
