@@ -182,9 +182,10 @@ class Session {
   Status Warm();
 
   /// Adopts warm statistics (and, optionally, the columnar view they were
-  /// computed through) produced elsewhere — the scheduler's coalesced warmup.
-  /// They must come from ComputeWarmGroupStats over this session's table and
-  /// semantics.
+  /// computed through) produced elsewhere — e.g. the warm state a serving
+  /// dataset version shares with its jobs. They must cover this session's
+  /// table and semantics (ComputeWarmGroupStats, or another session's
+  /// warm_stats()).
   void AdoptWarmStats(std::shared_ptr<const core::GroupStats> stats,
                       std::shared_ptr<const core::ColumnarView> view = nullptr) {
     warm_ = std::move(stats);

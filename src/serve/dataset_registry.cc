@@ -10,6 +10,54 @@
 
 namespace vadasa::serve {
 
+bool WarmState::Warm(api::Session* session) {
+  Slot& slot = slots_[session->options().standard_nulls ? 1 : 0];
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (slot.building || slot.done) {
+    done_cv_.wait(lock, [&] { return slot.done; });
+    if (slot.index != nullptr) {
+      const std::shared_ptr<const core::GroupIndex>& index = slot.index;
+      session->AdoptWarmStats(
+          std::shared_ptr<const core::GroupStats>(index, &index->Stats()),
+          index->shared_view());
+    }
+    return false;
+  }
+  slot.building = true;
+  lock.unlock();
+  Status status;
+  {
+    obs::Span span("serve.warmup");
+    status = session->Warm();
+  }
+  lock.lock();
+  if (status.ok()) slot.index = session->delta_index();
+  slot.done = true;
+  done_cv_.notify_all();
+  return true;
+}
+
+std::shared_ptr<const core::GroupIndex> WarmState::Ready(
+    core::NullSemantics semantics) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return slots_[static_cast<size_t>(semantics)].index;
+}
+
+void WarmState::CarryTo(const core::MicrodataTable& new_table,
+                        const core::DeltaRowPlan& plan,
+                        WarmState* next) const {
+  for (size_t s = 0; s < 2; ++s) {
+    const auto index = Ready(static_cast<core::NullSemantics>(s));
+    if (index == nullptr) continue;
+    std::shared_ptr<const core::GroupIndex> patched =
+        index->ApplyDelta(new_table, plan);
+    patched->Stats();
+    std::lock_guard<std::mutex> lock(next->mutex_);
+    next->slots_[s].index = std::move(patched);
+    next->slots_[s].done = true;
+  }
+}
+
 DatasetRegistry::DatasetRegistry() {
   // Touch the degraded-mode counters so the Prometheus exposition carries
   // them from the first scrape, not only after the first fault.
@@ -138,14 +186,18 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetRegistry::ApplyDelta(
   VADASA_ASSIGN_OR_RETURN(const auto base, Load(name));
   // The table rebuild happens outside the lock, like Load(): a delta against
   // a wide dataset must not serialize lookups of other datasets.
+  core::DeltaRowPlan plan;
   VADASA_ASSIGN_OR_RETURN(core::MicrodataTable next,
-                          core::ApplyDeltaToTable(*base->table, batch));
+                          core::ApplyDeltaToTable(*base->table, batch, &plan));
   auto loaded = std::make_shared<LoadedDataset>();
   loaded->path = name;
   loaded->table = std::make_shared<const core::MicrodataTable>(std::move(next));
   loaded->dictionary = base->dictionary;  // Schema unchanged by a delta.
   loaded->fingerprint = FingerprintTable(*loaded->table);
   loaded->version = base->version + 1;
+  // Patch only the groups the batch touched, as Session::Apply does, instead
+  // of leaving the next job to re-warm from scratch.
+  base->warm.CarryTo(*loaded->table, plan, &loaded->warm);
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = datasets_.insert_or_assign(name, std::move(loaded));
   if (inserted) order_.push_back(name);

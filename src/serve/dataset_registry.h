@@ -1,6 +1,7 @@
 #ifndef VADASA_SERVE_DATASET_REGISTRY_H_
 #define VADASA_SERVE_DATASET_REGISTRY_H_
 
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -10,12 +11,49 @@
 #include "api/vadasa.h"
 #include "common/result.h"
 #include "core/delta.h"
+#include "core/group_index.h"
 #include "core/metadata.h"
 #include "core/microdata.h"
 
 namespace vadasa::serve {
 
 class ResultCache;
+
+/// The warm state of one dataset version: per null semantics, the group index
+/// whose statistics and columnar view every job over that version shares.
+/// The first job that needs it builds it (concurrent jobs wait for that one
+/// build), or DatasetRegistry::ApplyDelta carries it over from the previous
+/// version. It lives and dies with its LoadedDataset. Thread-safe.
+class WarmState {
+ public:
+  /// Warms `session`, which must be cold and over this version's table:
+  /// adopts the ready state for its semantics, waits for one being built, or
+  /// builds it with Session::Warm(). Returns true when this call built it. A
+  /// failed build is kept and not retried; the session then stays cold and
+  /// its own call path reports the error.
+  bool Warm(api::Session* session);
+
+  /// The built index for `semantics`; null when cold, building or failed.
+  std::shared_ptr<const core::GroupIndex> Ready(
+      core::NullSemantics semantics) const;
+
+  /// Gives `next`, the unpublished version `new_table` of a delta, this
+  /// version's built indexes patched with GroupIndex::ApplyDelta over `plan`
+  /// (Stats() computed, so jobs only read them). Other slots stay cold.
+  void CarryTo(const core::MicrodataTable& new_table,
+               const core::DeltaRowPlan& plan, WarmState* next) const;
+
+ private:
+  struct Slot {
+    bool building = false;
+    bool done = false;
+    std::shared_ptr<const core::GroupIndex> index;  ///< Null if it failed.
+  };
+
+  mutable std::mutex mutex_;
+  std::condition_variable done_cv_;
+  Slot slots_[2];  ///< Indexed by core::NullSemantics.
+};
 
 /// One loaded, categorized, immutable dataset — the unit the registry shares
 /// (refcounted) across every job that names the same path.
@@ -32,6 +70,8 @@ struct LoadedDataset {
   /// fingerprint; the version lets clients confirm which generation of a
   /// streamed dataset served their job.
   uint64_t version = 1;
+  /// Shared group statistics of this version (built lazily, so mutable).
+  mutable WarmState warm;
 };
 
 /// Loads microdata tables + metadata dictionaries once and hands out shared
@@ -73,10 +113,13 @@ class DatasetRegistry {
   /// publishes the post-delta generation under the same name: version + 1,
   /// fresh content fingerprint (so ResultCache keys stay coherent — a job
   /// submitted after the delta can never hit a pre-delta payload), result
-  /// cache invalidated as hygiene. In-flight jobs keep their pre-delta
-  /// snapshot refcounts and serve bit-identical pre-delta results. Concurrent
-  /// ApplyDelta calls against one name are last-write-wins; serialize on the
-  /// caller side when deltas must compose. Returns the new snapshot.
+  /// cache invalidated as hygiene. Warm state carries over: each ready index
+  /// of the base version is patched with GroupIndex::ApplyDelta (bit-identical
+  /// to a cold build) and published as the new version's; a cold base yields
+  /// a cold version. In-flight jobs keep their pre-delta snapshot refcounts
+  /// and serve bit-identical pre-delta results. Concurrent ApplyDelta calls
+  /// against one name are last-write-wins; serialize on the caller side when
+  /// deltas must compose. Returns the new snapshot.
   Result<std::shared_ptr<const LoadedDataset>> ApplyDelta(
       const std::string& name, const core::DeltaBatch& batch);
 

@@ -276,6 +276,7 @@ std::string Protocol::HandleSubmit(const Json& request, ClientQuota* quota) {
 
   JobRequest job;
   job.session = std::move(*session);
+  job.dataset = *loaded;
   job.label = dataset;
   job.action = action == "risk" ? JobAction::kRisk : JobAction::kAnonymize;
   job.quantile = request.GetDouble("quantile", -1.0);

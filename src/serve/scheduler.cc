@@ -1,6 +1,5 @@
 #include "serve/scheduler.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -89,63 +88,24 @@ std::string JobStateToString(JobState state) {
 }
 
 struct JobScheduler::Job {
-  uint64_t id = 0;
-  uint64_t trace = 0;  ///< Trace id of the submitting request (0 = none).
   JobRequest request;
   JobOptions options;
   CancelToken cancel;
-  JobState state = JobState::kQueued;
-  Status status;
-  api::RiskReport risk;
-  api::AnonymizeResponse anonymize;
   std::chrono::steady_clock::time_point submitted;
   std::chrono::steady_clock::time_point started;
-  double queue_seconds = 0.0;
-  double run_seconds = 0.0;
-  int64_t queued_ns = 0;
-  int64_t run_ns = 0;
   bool watchdog_flagged = false;  ///< The watchdog flags a job at most once.
-  bool from_cache = false;        ///< Completed from the result cache.
-  size_t shard = 0;               ///< Ready-queue shard (label-hashed).
-};
-
-/// One coalesced warmup per (dataset, semantics): the first job computes the
-/// shared group statistics, concurrent peers block briefly and adopt them.
-struct JobScheduler::WarmSlot {
-  std::mutex mutex;
-  std::condition_variable ready_cv;
-  bool computing = false;
-  bool ready = false;
-  Status status;
-  std::shared_ptr<const core::GroupStats> stats;
-  std::shared_ptr<const core::ColumnarView> view;
+  /// What Peek/Wait hand out; the payload is set only on kDone.
+  JobResult result;
 };
 
 JobScheduler::JobScheduler(SchedulerOptions options) : options_(options) {
   if (options_.workers < 1) options_.workers = 1;
   if (options_.max_queue < 1) options_.max_queue = 1;
-  // Every shard needs at least one dedicated worker or its queue would
-  // never drain.
-  if (options_.shards < 1) options_.shards = 1;
-  if (options_.shards > options_.workers) options_.shards = options_.workers;
   paused_ = options_.start_paused;
   ServeMeters::Get().workers->Set(static_cast<double>(options_.workers));
-  shards_.reserve(options_.shards);
-  auto& registry = obs::MetricsRegistry::Global();
-  for (size_t i = 0; i < options_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    // Bounded cardinality: one gauge per shard, shards <= workers.
-    shard->depth_gauge =
-        registry.gauge("serve.shard." + std::to_string(i) + ".queue_depth");
-    shard->depth_gauge->Set(0.0);
-    shards_.push_back(std::move(shard));
-  }
   workers_.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
-    // Round-robin worker->shard assignment: every shard gets
-    // floor(workers/shards) threads, the first (workers % shards) one more.
-    const size_t shard_index = i % shards_.size();
-    workers_.emplace_back([this, shard_index] { WorkerLoop(shard_index); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   if (options_.watchdog_interval_ms > 0) {
     watchdog_ = std::thread([this] { WatchdogLoop(); });
@@ -154,33 +114,8 @@ JobScheduler::JobScheduler(SchedulerOptions options) : options_(options) {
 
 JobScheduler::~JobScheduler() { Shutdown(/*drain=*/true); }
 
-size_t JobScheduler::ShardForLabel(const std::string& label) const {
-  // FNV-1a of the *name*, not the content: a registry reload that changes a
-  // dataset's bytes (and so its cache fingerprint) must not migrate its
-  // in-flight traffic to a different worker pool.
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : label) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return static_cast<size_t>(hash % shards_.size());
-}
-
-size_t JobScheduler::TotalQueuedLocked() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) total += shard->queue.size();
-  return total;
-}
-
-void JobScheduler::UpdateDepthGaugesLocked(size_t shard_index) {
-  shards_[shard_index]->depth_gauge->Set(
-      static_cast<double>(shards_[shard_index]->queue.size()));
-  ServeMeters::Get().queue_depth->Set(
-      static_cast<double>(TotalQueuedLocked()));
-}
-
-void JobScheduler::NotifyAllShards() {
-  for (auto& shard : shards_) shard->work_cv.notify_all();
+void JobScheduler::UpdateDepthGaugeLocked() {
+  ServeMeters::Get().queue_depth->Set(static_cast<double>(queue_.size()));
 }
 
 Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
@@ -190,7 +125,8 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
   // (the protocol layer releases any quota slot it reserved), never a wedge.
   VADASA_FAILPOINT("serve.scheduler.submit");
   auto job = std::make_shared<Job>();
-  job->trace = obs::CurrentTraceId();
+  job->result.trace = obs::CurrentTraceId();
+  job->result.action = request.action;
   job->request = std::move(request);
   job->options = options;
   job->submitted = std::chrono::steady_clock::now();
@@ -201,54 +137,49 @@ Result<uint64_t> JobScheduler::Submit(JobRequest request, JobOptions options) {
   if (options_.result_cache != nullptr && !job->request.cache_key.empty()) {
     CachedResult hit;
     if (options_.result_cache->Get(job->request.cache_key, &hit)) {
+      Released released;
       std::lock_guard<std::mutex> lock(mutex_);
       if (draining_) {
         meters.rejected->Add(1);
         return Status::Unavailable("scheduler is shutting down");
       }
-      job->id = next_id_++;
-      job->shard = ShardForLabel(job->request.label);
-      job->from_cache = true;
-      job->risk = std::move(hit.risk);
-      job->anonymize = std::move(hit.anonymize);
+      job->result.id = next_id_++;
+      job->result.from_cache = true;
+      job->result.risk = std::move(hit.risk);
+      job->result.anonymize = std::move(hit.anonymize);
       // Terminal immediately: never queued, never run — both phases are
       // zero on the job's own timeline.
       job->started = job->submitted;
-      jobs_.emplace(job->id, job);
+      jobs_.emplace(job->result.id, job);
       meters.admitted->Add(1);
-      FinishLocked(job.get(), JobState::kDone, Status::OK());
-      return job->id;
+      released = FinishLocked(job.get(), JobState::kDone, Status::OK());
+      return job->result.id;
     }
   }
   if (options.timeout_seconds > 0.0) {
     job->cancel.SetTimeout(std::chrono::nanoseconds(
         static_cast<int64_t>(options.timeout_seconds * 1e9)));
   }
-  size_t shard_index = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (draining_) {
       meters.rejected->Add(1);
       return Status::Unavailable("scheduler is shutting down");
     }
-    const size_t queued = TotalQueuedLocked();
-    if (queued >= options_.max_queue) {
+    if (queue_.size() >= options_.max_queue) {
       meters.rejected->Add(1);
       return Status::Unavailable(
-          "admission queue full (" + std::to_string(queued) + "/" +
+          "admission queue full (" + std::to_string(queue_.size()) + "/" +
           std::to_string(options_.max_queue) + " jobs queued)");
     }
-    job->id = next_id_++;
-    shard_index = ShardForLabel(job->request.label);
-    job->shard = shard_index;
-    shards_[shard_index]->queue.emplace(
-        std::make_pair(-options.priority, job->id), job);
-    jobs_.emplace(job->id, job);
+    job->result.id = next_id_++;
+    queue_.emplace(std::make_pair(-options.priority, job->result.id), job);
+    jobs_.emplace(job->result.id, job);
     meters.admitted->Add(1);
-    UpdateDepthGaugesLocked(shard_index);
+    UpdateDepthGaugeLocked();
   }
-  shards_[shard_index]->work_cv.notify_one();
-  return job->id;
+  work_cv_.notify_one();
+  return job->result.id;
 }
 
 Result<JobState> JobScheduler::State(uint64_t id) const {
@@ -257,35 +188,10 @@ Result<JobState> JobScheduler::State(uint64_t id) const {
   if (it == jobs_.end()) {
     return Status::NotFound("unknown job id " + std::to_string(id));
   }
-  return it->second->state;
+  return it->second->result.state;
 }
 
-/// Snapshot helpers shared by Peek/Wait; caller holds the scheduler mutex.
 namespace {
-
-JobResult MakeSnapshot(uint64_t id, JobAction action, JobState state,
-                       const Status& status, const api::RiskReport& risk,
-                       const api::AnonymizeResponse& anonymize,
-                       double queue_seconds, double run_seconds,
-                       int64_t queued_ns, int64_t run_ns, uint64_t trace,
-                       bool from_cache) {
-  JobResult result;
-  result.id = id;
-  result.action = action;
-  result.state = state;
-  result.status = status;
-  if (state == JobState::kDone) {
-    result.risk = risk;
-    result.anonymize = anonymize;
-  }
-  result.queue_seconds = queue_seconds;
-  result.run_seconds = run_seconds;
-  result.queued_ns = queued_ns;
-  result.run_ns = run_ns;
-  result.trace = trace;
-  result.from_cache = from_cache;
-  return result;
-}
 
 bool IsTerminal(JobState state) {
   return state == JobState::kDone || state == JobState::kFailed ||
@@ -300,10 +206,7 @@ Result<JobResult> JobScheduler::Peek(uint64_t id) const {
   if (it == jobs_.end()) {
     return Status::NotFound("unknown job id " + std::to_string(id));
   }
-  const Job& job = *it->second;
-  return MakeSnapshot(id, job.request.action, job.state, job.status, job.risk,
-                      job.anonymize, job.queue_seconds, job.run_seconds,
-                      job.queued_ns, job.run_ns, job.trace, job.from_cache);
+  return it->second->result;
 }
 
 Result<JobResult> JobScheduler::Wait(uint64_t id) {
@@ -313,76 +216,67 @@ Result<JobResult> JobScheduler::Wait(uint64_t id) {
     return Status::NotFound("unknown job id " + std::to_string(id));
   }
   std::shared_ptr<Job> job = it->second;
-  done_cv_.wait(lock, [&] { return IsTerminal(job->state); });
-  return MakeSnapshot(id, job->request.action, job->state, job->status,
-                      job->risk, job->anonymize, job->queue_seconds,
-                      job->run_seconds, job->queued_ns, job->run_ns,
-                      job->trace, job->from_cache);
+  done_cv_.wait(lock, [&] { return IsTerminal(job->result.state); });
+  return job->result;
 }
 
 Status JobScheduler::Cancel(uint64_t id) {
+  Released released;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = jobs_.find(id);
   if (it == jobs_.end()) {
     return Status::NotFound("unknown job id " + std::to_string(id));
   }
   Job* job = it->second.get();
-  if (job->state == JobState::kQueued) {
-    shards_[job->shard]->queue.erase(
-        std::make_pair(-job->options.priority, job->id));
-    UpdateDepthGaugesLocked(job->shard);
-    FinishLocked(job, JobState::kCancelled,
-                 Status::Cancelled("cancelled while queued"));
+  if (job->result.state == JobState::kQueued) {
+    queue_.erase(std::make_pair(-job->options.priority, job->result.id));
+    UpdateDepthGaugeLocked();
+    released = FinishLocked(job, JobState::kCancelled,
+                            Status::Cancelled("cancelled while queued"));
     return Status::OK();
   }
-  if (job->state == JobState::kRunning) {
+  if (job->result.state == JobState::kRunning) {
     job->cancel.Cancel();  // The job unwinds at its next iteration boundary.
   }
   return Status::OK();
 }
 
+void JobScheduler::CancelQueuedLocked(const char* reason,
+                                      std::vector<Released>* released) {
+  for (auto& [key, job] : queue_) {
+    (void)key;
+    released->push_back(FinishLocked(job.get(), JobState::kCancelled,
+                                      Status::Cancelled(reason)));
+  }
+  queue_.clear();
+  UpdateDepthGaugeLocked();
+}
+
 void JobScheduler::Shutdown(bool drain) {
+  std::vector<Released> released;  // Destroyed after `lock` is released.
   std::unique_lock<std::mutex> lock(mutex_);
   draining_ = true;
-  if (!drain) {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      for (auto& [key, job] : shards_[i]->queue) {
-        (void)key;
-        FinishLocked(job.get(), JobState::kCancelled,
-                     Status::Cancelled("cancelled at shutdown"));
-      }
-      shards_[i]->queue.clear();
-      UpdateDepthGaugesLocked(i);
-    }
-  }
+  if (!drain) CancelQueuedLocked("cancelled at shutdown", &released);
   JoinThreadsLocked(&lock);
 }
 
 bool JobScheduler::ShutdownWithin(std::chrono::milliseconds budget) {
   const auto deadline = std::chrono::steady_clock::now() + budget;
+  std::vector<Released> released;  // Destroyed after `lock` is released.
   std::unique_lock<std::mutex> lock(mutex_);
   draining_ = true;    // No new admissions while we wait.
   paused_ = false;     // A paused scheduler still has to run out its queue.
-  NotifyAllShards();
-  const bool drained = done_cv_.wait_until(lock, deadline, [&] {
-    return TotalQueuedLocked() == 0 && running_ == 0;
-  });
+  work_cv_.notify_all();
+  const bool drained = done_cv_.wait_until(
+      lock, deadline, [&] { return queue_.empty() && running_ == 0; });
   if (!drained) {
     // Budget exhausted: queued jobs are cancelled outright, running jobs get
     // a cooperative cancel and are still joined below (they unwind at their
     // next iteration boundary).
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      for (auto& [key, job] : shards_[i]->queue) {
-        (void)key;
-        FinishLocked(job.get(), JobState::kCancelled,
-                     Status::Cancelled("cancelled: drain budget exhausted"));
-      }
-      shards_[i]->queue.clear();
-      UpdateDepthGaugesLocked(i);
-    }
+    CancelQueuedLocked("cancelled: drain budget exhausted", &released);
     for (auto& [id, job] : jobs_) {
       (void)id;
-      if (job->state == JobState::kRunning) job->cancel.Cancel();
+      if (job->result.state == JobState::kRunning) job->cancel.Cancel();
     }
   }
   JoinThreadsLocked(&lock);
@@ -394,7 +288,7 @@ bool JobScheduler::ShutdownWithin(std::chrono::milliseconds budget) {
 void JobScheduler::JoinThreadsLocked(std::unique_lock<std::mutex>* lock) {
   shutdown_ = true;
   lock->unlock();
-  NotifyAllShards();
+  work_cv_.notify_all();
   watchdog_cv_.notify_all();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
@@ -407,18 +301,12 @@ void JobScheduler::Resume() {
     std::lock_guard<std::mutex> lock(mutex_);
     paused_ = false;
   }
-  NotifyAllShards();
+  work_cv_.notify_all();
 }
 
 size_t JobScheduler::queue_depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return TotalQueuedLocked();
-}
-
-size_t JobScheduler::shard_queue_depth(size_t shard) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (shard >= shards_.size()) return 0;
-  return shards_[shard]->queue.size();
+  return queue_.size();
 }
 
 size_t JobScheduler::running_jobs() const {
@@ -427,17 +315,18 @@ size_t JobScheduler::running_jobs() const {
 }
 
 /// Transition to a terminal state; caller holds the mutex.
-void JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
+JobScheduler::Released JobScheduler::FinishLocked(Job* job, JobState state,
+                                                  Status status) {
   auto& meters = ServeMeters::Get();
   if (job->started == std::chrono::steady_clock::time_point{}) {
     // Never dequeued (cancelled/expired while queued): the whole lifetime
     // was queue wait.
     const auto now = std::chrono::steady_clock::now();
-    job->queue_seconds = SecondsBetween(job->submitted, now);
-    job->queued_ns = NsBetween(job->submitted, now);
+    job->result.queue_seconds = SecondsBetween(job->submitted, now);
+    job->result.queued_ns = NsBetween(job->submitted, now);
   }
-  job->state = state;
-  job->status = std::move(status);
+  job->result.state = state;
+  job->result.status = std::move(status);
   switch (state) {
     case JobState::kDone: meters.completed->Add(1); break;
     case JobState::kFailed: meters.failed->Add(1); break;
@@ -447,11 +336,11 @@ void JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
   }
   if (options_.slow_log != nullptr) {
     obs::RequestLogEntry entry;
-    entry.trace_id = job->trace;
+    entry.trace_id = job->result.trace;
     entry.op = job->request.action == JobAction::kRisk ? "risk" : "anonymize";
     entry.dataset = job->request.label;
-    entry.queue_ms = job->queue_seconds * 1e3;
-    entry.run_ms = job->run_seconds * 1e3;
+    entry.queue_ms = job->result.queue_seconds * 1e3;
+    entry.run_ms = job->result.run_seconds * 1e3;
     entry.outcome = JobStateToString(state);
     options_.slow_log->Record(entry);
   }
@@ -462,6 +351,10 @@ void JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
     job->options.quota_slot.reset();
   }
   done_cv_.notify_all();
+  // The payload and timings stay for later `result` calls; the dataset
+  // version goes.
+  return Released{std::move(job->request.session),
+                  std::move(job->request.dataset)};
 }
 
 void JobScheduler::WatchdogLoop() {
@@ -474,8 +367,8 @@ void JobScheduler::WatchdogLoop() {
     const auto now = std::chrono::steady_clock::now();
     for (auto& [id, job] : jobs_) {
       (void)id;
-      if (job->state != JobState::kRunning || job->watchdog_flagged) continue;
-      if (job->options.timeout_seconds <= 0.0) continue;
+      if (job->result.state != JobState::kRunning) continue;
+      if (job->watchdog_flagged || job->options.timeout_seconds <= 0.0) continue;
       const double overdue_s =
           job->options.timeout_seconds * options_.watchdog_multiple;
       const double running_s = SecondsBetween(job->started, now);
@@ -486,11 +379,11 @@ void JobScheduler::WatchdogLoop() {
       meters.watchdog_flagged->Add(1);
       if (options_.slow_log != nullptr) {
         obs::RequestLogEntry entry;
-        entry.trace_id = job->trace;
+        entry.trace_id = job->result.trace;
         entry.op =
             job->request.action == JobAction::kRisk ? "risk" : "anonymize";
         entry.dataset = job->request.label;
-        entry.queue_ms = job->queue_seconds * 1e3;
+        entry.queue_ms = job->result.queue_seconds * 1e3;
         entry.run_ms = running_s * 1e3;
         entry.outcome = "overdue";
         options_.slow_log->Record(entry, /*force=*/true);
@@ -500,42 +393,40 @@ void JobScheduler::WatchdogLoop() {
   }
 }
 
-void JobScheduler::WorkerLoop(size_t shard_index) {
+void JobScheduler::WorkerLoop() {
   auto& meters = ServeMeters::Get();
-  Shard& shard = *shards_[shard_index];
   for (;;) {
     std::shared_ptr<Job> job;
+    Released released;  // Destroyed after `lock` is released.
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      // shutdown_ overrides paused_ so a drain always completes. Each worker
-      // only ever pops its own shard's queue — a hot dataset flooding one
-      // shard cannot consume another shard's threads.
-      shard.work_cv.wait(lock, [&] {
-        return shutdown_ || (!paused_ && !shard.queue.empty());
+      // shutdown_ overrides paused_ so a drain always completes.
+      work_cv_.wait(lock, [&] {
+        return shutdown_ || (!paused_ && !queue_.empty());
       });
-      if (shard.queue.empty()) {
+      if (queue_.empty()) {
         if (shutdown_) return;  // Drained: nothing left to run.
         continue;
       }
-      auto it = shard.queue.begin();
+      auto it = queue_.begin();
       job = it->second;
-      shard.queue.erase(it);
-      UpdateDepthGaugesLocked(shard_index);
+      queue_.erase(it);
+      UpdateDepthGaugeLocked();
       job->started = std::chrono::steady_clock::now();
-      job->queue_seconds = SecondsBetween(job->submitted, job->started);
-      job->queued_ns = NsBetween(job->submitted, job->started);
-      meters.queue_wait_ms->Record(job->queue_seconds * 1e3);
+      job->result.queue_seconds = SecondsBetween(job->submitted, job->started);
+      job->result.queued_ns = NsBetween(job->submitted, job->started);
+      meters.queue_wait_ms->Record(job->result.queue_seconds * 1e3);
       if (!job->cancel.Check().ok()) {
         // Cancelled or expired while queued; never starts.
         const Status verdict = job->cancel.Check();
-        FinishLocked(job.get(),
-                     verdict.code() == StatusCode::kDeadlineExceeded
-                         ? JobState::kExpired
-                         : JobState::kCancelled,
-                     verdict);
+        released = FinishLocked(job.get(),
+                                verdict.code() == StatusCode::kDeadlineExceeded
+                                    ? JobState::kExpired
+                                    : JobState::kCancelled,
+                                verdict);
         continue;
       }
-      job->state = JobState::kRunning;
+      job->result.state = JobState::kRunning;
       ++running_;
       meters.running->Set(static_cast<double>(running_));
     }
@@ -552,55 +443,35 @@ void JobScheduler::WorkerLoop(size_t shard_index) {
 }
 
 void JobScheduler::WarmUp(Job* job) {
+  api::Session& session = job->request.session;
   // SUDA never reads group statistics; warming would be wasted work.
-  if (!options_.coalesce_warmup ||
-      job->request.session.options().risk_measure == "suda") {
+  if (session.options().risk_measure == "suda" ||
+      session.warm_stats() != nullptr) {
     return;
   }
-  char key[64];
-  std::snprintf(key, sizeof(key), "%p|%s",
-                static_cast<const void*>(job->request.session.shared_table().get()),
-                job->request.session.options().GroupKey().c_str());
-  std::shared_ptr<WarmSlot> slot;
-  {
-    std::lock_guard<std::mutex> lock(warm_mutex_);
-    auto& entry = warm_[key];
-    if (entry == nullptr) entry = std::make_shared<WarmSlot>();
-    slot = entry;
-  }
   auto& meters = ServeMeters::Get();
-  std::unique_lock<std::mutex> lock(slot->mutex);
-  if (slot->ready) {
-    meters.coalesce_hits->Add(1);
-  } else if (slot->computing) {
-    meters.coalesce_hits->Add(1);
-    slot->ready_cv.wait(lock, [&] { return slot->ready; });
-  } else {
-    slot->computing = true;
-    lock.unlock();
+  const LoadedDataset* dataset = job->request.dataset.get();
+  if (dataset == nullptr || dataset->table != session.shared_table()) {
+    // No registry version behind the session: nothing to share it with. A
+    // failed warmup is not a job failure either way: the cold call path
+    // surfaces the same error itself.
     obs::Span span("serve.warmup");
     meters.warmups->Add(1);
-    Status status = job->request.session.Warm();
-    lock.lock();
-    slot->status = status;
-    slot->stats = job->request.session.warm_stats();
-    slot->view = job->request.session.warm_view();
-    slot->ready = true;
-    slot->ready_cv.notify_all();
-    return;  // This session is already warm.
+    (void)session.Warm();
+    return;
   }
-  if (slot->status.ok() && slot->stats != nullptr) {
-    job->request.session.AdoptWarmStats(slot->stats, slot->view);
+  if (dataset->warm.Warm(&session)) {
+    meters.warmups->Add(1);
+  } else {
+    meters.coalesce_hits->Add(1);
   }
-  // A failed warmup (e.g. too many QI columns for the semantics) is not a job
-  // failure: the un-warmed call path will surface the same error itself.
 }
 
 void JobScheduler::Execute(const std::shared_ptr<Job>& job) {
   // Re-install the submitting request's trace id on the executor thread so
   // the job/warmup spans (and the ParallelFor shards under them) group with
   // the protocol spans of the same request in one trace.
-  obs::ScopedTraceId trace_scope(job->trace);
+  obs::ScopedTraceId trace_scope(job->result.trace);
   obs::EmitSpan("serve.queue_wait", ToTraceNs(job->submitted),
                 ToTraceNs(job->started));
   obs::Span span("serve.job");
@@ -654,22 +525,23 @@ void JobScheduler::Execute(const std::shared_ptr<Job>& job) {
                                std::move(entry));
   }
 
+  Released released;  // Destroyed after `lock` is released.
   std::lock_guard<std::mutex> lock(mutex_);
   const auto finished = std::chrono::steady_clock::now();
-  job->run_seconds = SecondsBetween(job->started, finished);
-  job->run_ns = NsBetween(job->started, finished);
-  meters.job_ms->Record(job->run_seconds * 1e3);
+  job->result.run_seconds = SecondsBetween(job->started, finished);
+  job->result.run_ns = NsBetween(job->started, finished);
+  meters.job_ms->Record(job->result.run_seconds * 1e3);
+  JobState state = JobState::kFailed;
   if (verdict.ok()) {
-    job->risk = std::move(risk);
-    job->anonymize = std::move(anonymize);
-    FinishLocked(job.get(), JobState::kDone, Status::OK());
+    job->result.risk = std::move(risk);
+    job->result.anonymize = std::move(anonymize);
+    state = JobState::kDone;
   } else if (verdict.code() == StatusCode::kCancelled) {
-    FinishLocked(job.get(), JobState::kCancelled, verdict);
+    state = JobState::kCancelled;
   } else if (verdict.code() == StatusCode::kDeadlineExceeded) {
-    FinishLocked(job.get(), JobState::kExpired, verdict);
-  } else {
-    FinishLocked(job.get(), JobState::kFailed, verdict);
+    state = JobState::kExpired;
   }
+  released = FinishLocked(job.get(), state, std::move(verdict));
 }
 
 }  // namespace vadasa::serve

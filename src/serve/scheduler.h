@@ -15,9 +15,9 @@
 #include "api/vadasa.h"
 #include "common/cancel.h"
 #include "common/result.h"
+#include "serve/dataset_registry.h"
 
 namespace vadasa::obs {
-class Gauge;
 class RequestLog;
 }
 
@@ -52,10 +52,10 @@ struct JobRequest {
   /// per-tuple explanations.
   double quantile = -1.0;
   bool explain = false;
-  /// Operator-facing name (dataset) carried into the slow-request log; also
-  /// the shard-assignment key, so every job against one dataset lands on the
-  /// same worker pool (and stays there across registry reloads — the name is
-  /// stable even when the content fingerprint changes).
+  /// The registry version `session` was opened over. Its warm state is shared
+  /// by every job over that version; null = the job warms its own session.
+  std::shared_ptr<const LoadedDataset> dataset;
+  /// Operator-facing name (dataset) carried into the slow-request log.
   std::string label;
   /// Result-cache key (serve/result_cache.h): dataset content fingerprint +
   /// canonical policy. Empty = this job never probes or fills the cache.
@@ -103,9 +103,6 @@ struct SchedulerOptions {
   /// Submission beyond it is *rejected* with Unavailable, never blocked —
   /// backpressure surfaces at the edge instead of wedging clients.
   size_t max_queue = 64;
-  /// Coalesce group-statistics warmup across jobs that share a dataset and
-  /// null semantics (the batching of docs/serving.md).
-  bool coalesce_warmup = true;
   /// Admit jobs but do not run any until Resume() — deterministic setup for
   /// tests and warm server starts. Shutdown(drain=true) implies Resume.
   bool start_paused = false;
@@ -113,14 +110,6 @@ struct SchedulerOptions {
   /// line (trace_id, op, dataset, queue_ms, run_ms, outcome). Not owned;
   /// must outlive the scheduler.
   obs::RequestLog* slow_log = nullptr;
-  /// Worker-pool shards. Datasets are hash-assigned by label (FNV-1a of the
-  /// name, stable across registry reloads), each shard owns its own ready
-  /// queue and `workers/shards` threads, so a flood of jobs against one hot
-  /// dataset saturates only its shard instead of starving every other
-  /// dataset's queue position. Clamped to [1, workers]; 1 = the classic
-  /// single shared queue. Admission (`max_queue`) stays a global bound.
-  /// Per-shard depth gauges: serve.shard.<i>.queue_depth.
-  size_t shards = 1;
   /// When set, Submit probes it by JobRequest::cache_key and a hit completes
   /// the job immediately (kDone, JobResult::from_cache) without queueing;
   /// each successful cold run fills it. Not owned; must outlive the
@@ -139,8 +128,10 @@ struct SchedulerOptions {
 /// A bounded, prioritized, cancellable job executor over api::Session calls —
 /// the long-lived serving core. Admission control rejects overflow instead of
 /// blocking; per-job CancelTokens give cooperative cancellation and deadline
-/// enforcement; jobs that share a dataset+semantics coalesce their group-index
-/// warmup. All serve.* metrics flow through obs::MetricsRegistry::Global().
+/// enforcement; jobs over one dataset version share its warm state
+/// (serve/dataset_registry.h). A job lets go of its session and dataset
+/// version when it ends, so a replaced version is freed once its last job is
+/// done. All serve.* metrics flow through obs::MetricsRegistry::Global().
 class JobScheduler {
  public:
   explicit JobScheduler(SchedulerOptions options = {});
@@ -188,40 +179,26 @@ class JobScheduler {
   size_t running_jobs() const;
   const SchedulerOptions& options() const { return options_; }
 
-  /// Shards actually built (options().shards after clamping to workers).
-  size_t shard_count() const { return shards_.size(); }
-  /// The shard a dataset label hash-assigns to.
-  size_t ShardForLabel(const std::string& label) const;
-  /// Queued jobs on one shard (operator/test visibility; the gauges mirror
-  /// this).
-  size_t shard_queue_depth(size_t shard) const;
-
  private:
   struct Job;
-  struct WarmSlot;
-
-  /// One worker pool: its own ready queue and wakeup cv (still under the
-  /// scheduler-wide mutex_ — sharding isolates *scheduling*, not locking;
-  /// queue operations are microseconds against multi-ms jobs).
-  struct Shard {
-    /// Ready queue keyed by (-priority, admission seq): begin() is next.
-    std::map<std::pair<int, uint64_t>, std::shared_ptr<Job>> queue;
-    std::condition_variable work_cv;  ///< Workers: queue non-empty / shutdown.
-    obs::Gauge* depth_gauge = nullptr;  ///< serve.shard.<i>.queue_depth.
+  /// What a finished job held of its dataset version. FinishLocked moves it
+  /// out under mutex_; the caller destroys it after unlocking, because the
+  /// last reference may free a whole table and its group index.
+  struct Released {
+    api::Session session;
+    std::shared_ptr<const LoadedDataset> dataset;
   };
 
-  void WorkerLoop(size_t shard_index);
+  void WorkerLoop();
   void WatchdogLoop();
   void Execute(const std::shared_ptr<Job>& job);
   void WarmUp(Job* job);
-  void FinishLocked(Job* job, JobState state, Status status);
+  [[nodiscard]] Released FinishLocked(Job* job, JobState state, Status status);
+  /// Cancels every queued job; caller holds mutex_.
+  void CancelQueuedLocked(const char* reason, std::vector<Released>* released);
   void JoinThreadsLocked(std::unique_lock<std::mutex>* lock);
-  /// Sum of shard queue depths; caller holds mutex_.
-  size_t TotalQueuedLocked() const;
-  /// Refreshes one shard's depth gauge and the global queue-depth gauge;
-  /// caller holds mutex_.
-  void UpdateDepthGaugesLocked(size_t shard_index);
-  void NotifyAllShards();
+  /// Refreshes the queue-depth gauge; caller holds mutex_.
+  void UpdateDepthGaugeLocked();
 
   SchedulerOptions options_;
 
@@ -232,12 +209,11 @@ class JobScheduler {
   bool draining_ = false;   ///< Admission closed.
   bool shutdown_ = false;   ///< Workers told to exit once the queue is empty.
   bool paused_ = false;     ///< Workers admit but do not pop until Resume.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Ready queue keyed by (-priority, admission seq): begin() is next.
+  std::map<std::pair<int, uint64_t>, std::shared_ptr<Job>> queue_;
+  std::condition_variable work_cv_;  ///< Workers: queue non-empty / shutdown.
   std::map<uint64_t, std::shared_ptr<Job>> jobs_;
   size_t running_ = 0;
-
-  std::mutex warm_mutex_;
-  std::map<std::string, std::shared_ptr<WarmSlot>> warm_;
 
   std::condition_variable watchdog_cv_;  ///< Wakes the watchdog early on exit.
   std::vector<std::thread> workers_;

@@ -23,6 +23,7 @@
 #include "core/risk.h"
 #include "core/suda.h"
 #include "core/vadalog_bridge.h"
+#include "obs/metrics.h"
 #include "serve/dataset_registry.h"
 #include "serve/protocol.h"
 #include "serve/result_cache.h"
@@ -590,6 +591,37 @@ Status EvalGroupingMatchesReference(const ReproCase& repro) {
                             "cycle(" + measure_name + ") release");
 }
 
+/// Empty when `got` equals `want` bit for bit, else the first difference.
+std::string DiffRiskReports(const api::RiskReport& got, const api::RiskReport& want) {
+  if (got.tuple_risks != want.tuple_risks) return "tuple risks differ";
+  if (got.threshold != want.threshold) return "threshold differs";
+  const core::GlobalRiskReport& g = got.global;
+  const core::GlobalRiskReport& w = want.global;
+  if (g.expected_reidentifications != w.expected_reidentifications ||
+      g.global_risk_rate != w.global_risk_rate ||
+      g.tuples_over_threshold != w.tuples_over_threshold || g.max_risk != w.max_risk ||
+      g.sample_uniques != w.sample_uniques) {
+    return "global report differs: " + g.ToString() + " vs " + w.ToString();
+  }
+  if (got.risky.size() != want.risky.size()) {
+    return std::to_string(got.risky.size()) + " risky tuples, want " +
+           std::to_string(want.risky.size());
+  }
+  for (size_t i = 0; i < got.risky.size(); ++i) {
+    const api::RiskyTuple& a = got.risky[i];
+    const api::RiskyTuple& b = want.risky[i];
+    if (a.row != b.row || a.risk != b.risk || a.explanation != b.explanation) {
+      return "risky tuple " + std::to_string(i) + " differs: row " + std::to_string(a.row) +
+             " \"" + a.explanation + "\" vs row " + std::to_string(b.row) + " \"" +
+             b.explanation + "\"";
+    }
+  }
+  if (got.inferred_threshold != want.inferred_threshold) {
+    return "inferred threshold differs";
+  }
+  return "";
+}
+
 /// Builds a random DeltaBatch against `table`'s current shape from `aux`.
 /// Appended/updated rows usually copy an existing row and perturb one cell,
 /// sometimes to a labelled null — the suppression-shaped mutations a
@@ -635,7 +667,9 @@ Status EvalDeltaVsFullRecompute(const ReproCase& repro) {
   // a session maintained through Session::Apply must be indistinguishable —
   // risk vectors, released bytes, audit text — from a cold session built
   // from scratch over the exact post-delta table, across chained delta
-  // steps.
+  // steps. The serving path must be too: the same chain applied through
+  // DatasetRegistry::ApplyDelta, read back by scheduled jobs that adopt the
+  // warm state each version inherits, so only version 1 builds one.
   api::SessionOptions options;
   options.risk_measure = Param(repro, "measure", "k-anonymity");
   options.k = static_cast<int>(ParamU64(repro, "k", 2));
@@ -643,12 +677,65 @@ Status EvalDeltaVsFullRecompute(const ReproCase& repro) {
   options.standard_nulls = Param(repro, "semantics", "maybe") == "standard";
   const size_t steps = ParamU64(repro, "steps", 2);
 
+  serve::DatasetRegistry registry;
+  VADASA_RETURN_NOT_OK(registry.Register("delta-feed", repro.table));
+  serve::JobScheduler scheduler;
+  // Risk and anonymize jobs over the registry's current version, checked
+  // against the reports of a session over the same table.
+  auto serve_matches = [&](const std::string& where,
+                           const api::RiskReport& want_risk,
+                           const api::AnonymizeResponse& want_release) -> Status {
+    VADASA_ASSIGN_OR_RETURN(const auto version, registry.Load("delta-feed"));
+    uint64_t ids[2] = {0, 0};
+    for (const serve::JobAction action :
+         {serve::JobAction::kRisk, serve::JobAction::kAnonymize}) {
+      serve::JobRequest request;
+      VADASA_ASSIGN_OR_RETURN(
+          request.session,
+          api::Session::FromShared(version->table, version->dictionary, options));
+      request.dataset = version;
+      request.action = action;
+      request.explain = true;
+      VADASA_ASSIGN_OR_RETURN(ids[action == serve::JobAction::kRisk ? 0 : 1],
+                              scheduler.Submit(std::move(request)));
+    }
+    VADASA_ASSIGN_OR_RETURN(const serve::JobResult risk, scheduler.Wait(ids[0]));
+    VADASA_ASSIGN_OR_RETURN(const serve::JobResult release, scheduler.Wait(ids[1]));
+    if (risk.state != serve::JobState::kDone ||
+        release.state != serve::JobState::kDone) {
+      return Status::FailedPrecondition(
+          where + ": served jobs ended " + serve::JobStateToString(risk.state) +
+          " / " + serve::JobStateToString(release.state) + ": " +
+          risk.status.ToString() + " / " + release.status.ToString());
+    }
+    const std::string diff = DiffRiskReports(risk.risk, want_risk);
+    if (!diff.empty()) {
+      return Status::FailedPrecondition(where + ": served risk report: " + diff);
+    }
+    if (WriteCsv(release.anonymize.table.ToCsv()) !=
+            WriteCsv(want_release.table.ToCsv()) ||
+        release.anonymize.ToText() != want_release.ToText()) {
+      return Status::FailedPrecondition(
+          where + ": served release is not byte-identical to the cold rebuild");
+    }
+    return Status::OK();
+  };
+  obs::Counter* warmups =
+      obs::MetricsRegistry::Global().counter("serve.batch.warmups");
+  const uint64_t warmups_before = warmups->value();
+
   Rng aux(repro.seed);
   const auto shared = std::make_shared<const MicrodataTable>(repro.table);
   VADASA_ASSIGN_OR_RETURN(
       api::Session session,
       api::Session::FromShared(shared, nullptr, options));
   VADASA_RETURN_NOT_OK(session.Warm());
+  {
+    VADASA_ASSIGN_OR_RETURN(const api::RiskReport risk, session.Risk());
+    VADASA_ASSIGN_OR_RETURN(const api::AnonymizeResponse release,
+                            session.Anonymize());
+    VADASA_RETURN_NOT_OK(serve_matches("version 1", risk, release));
+  }
   for (size_t s = 0; s < steps; ++s) {
     VADASA_ASSIGN_OR_RETURN(const core::DeltaBatch batch,
                             RandomDelta(&aux, *session.shared_table()));
@@ -679,7 +766,20 @@ Status EvalDeltaVsFullRecompute(const ReproCase& repro) {
           "step " + std::to_string(s) +
           ": incremental audit text differs from the cold rebuild");
     }
+    VADASA_RETURN_NOT_OK(registry.ApplyDelta("delta-feed", batch).status());
+    VADASA_RETURN_NOT_OK(serve_matches("step " + std::to_string(s), reference,
+                                       ref_release));
     session = std::move(child);
+  }
+  scheduler.Shutdown(/*drain=*/true);
+  // SUDA jobs never warm; any other measure builds version 1's warm state
+  // once and every later version inherits it from ApplyDelta.
+  const uint64_t want_warmups = options.risk_measure == "suda" ? 0 : 1;
+  if (warmups->value() - warmups_before != want_warmups) {
+    return Status::FailedPrecondition(
+        std::to_string(warmups->value() - warmups_before) +
+        " warm builds across " + std::to_string(steps) + " delta step(s), want " +
+        std::to_string(want_warmups));
   }
   return Status::OK();
 }
@@ -707,37 +807,6 @@ Result<api::RiskReport> ComposedRiskReport(const MicrodataTable& table,
   VADASA_ASSIGN_OR_RETURN(report.inferred_threshold,
                           core::InferThreshold(table, measure, ctx, quantile));
   return report;
-}
-
-/// Empty when `got` equals `want` bit for bit, else the first difference.
-std::string DiffRiskReports(const api::RiskReport& got, const api::RiskReport& want) {
-  if (got.tuple_risks != want.tuple_risks) return "tuple risks differ";
-  if (got.threshold != want.threshold) return "threshold differs";
-  const core::GlobalRiskReport& g = got.global;
-  const core::GlobalRiskReport& w = want.global;
-  if (g.expected_reidentifications != w.expected_reidentifications ||
-      g.global_risk_rate != w.global_risk_rate ||
-      g.tuples_over_threshold != w.tuples_over_threshold || g.max_risk != w.max_risk ||
-      g.sample_uniques != w.sample_uniques) {
-    return "global report differs: " + g.ToString() + " vs " + w.ToString();
-  }
-  if (got.risky.size() != want.risky.size()) {
-    return std::to_string(got.risky.size()) + " risky tuples, composed " +
-           std::to_string(want.risky.size());
-  }
-  for (size_t i = 0; i < got.risky.size(); ++i) {
-    const api::RiskyTuple& a = got.risky[i];
-    const api::RiskyTuple& b = want.risky[i];
-    if (a.row != b.row || a.risk != b.risk || a.explanation != b.explanation) {
-      return "risky tuple " + std::to_string(i) + " differs: row " + std::to_string(a.row) +
-             " \"" + a.explanation + "\" vs row " + std::to_string(b.row) + " \"" +
-             b.explanation + "\"";
-    }
-  }
-  if (got.inferred_threshold != want.inferred_threshold) {
-    return "inferred threshold differs";
-  }
-  return "";
 }
 
 Status EvalRiskReportMatchesComposedCalls(const ReproCase& repro) {
@@ -815,7 +884,6 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
 
   const size_t storm = ParamU64(repro, "njobs", 4);
   const size_t workers = ParamU64(repro, "workers", 2);
-  const size_t shards = ParamU64(repro, "shards", 1);
 
   // The one-cell edit for the replace phase. Tables with no editable QI cell
   // skip that phase; the prime/storm interleaving checks still run.
@@ -898,7 +966,6 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
     VADASA_RETURN_NOT_OK(registry.Register("cache-mem", repro.table));
     serve::SchedulerOptions scheduler_options;
     scheduler_options.workers = workers;
-    scheduler_options.shards = shards;
     scheduler_options.max_queue = storm + 4;
     serve::JobScheduler scheduler(scheduler_options);
     serve::Protocol protocol(&registry, &scheduler);
@@ -928,7 +995,6 @@ Status EvalCachedResultBitIdentical(const ReproCase& repro) {
   VADASA_RETURN_NOT_OK(registry.Register("cache-mem", repro.table));
   serve::SchedulerOptions scheduler_options;
   scheduler_options.workers = workers;
-  scheduler_options.shards = shards;
   scheduler_options.max_queue = storm + 4;
   scheduler_options.result_cache = &cache;
   serve::JobScheduler scheduler(scheduler_options);
@@ -1316,7 +1382,6 @@ std::vector<Property> BuildCatalog() {
          repro.params["semantics"] = PickSemantics(rng, 0.5);
          repro.params["njobs"] = std::to_string(rng->NextInt(3, 6));
          repro.params["workers"] = std::to_string(rng->NextInt(1, 3));
-         repro.params["shards"] = std::to_string(rng->NextInt(1, 3));
          return repro;
        },
        EvalCachedResultBitIdentical});

@@ -7,8 +7,11 @@
 #include <vector>
 
 #include "common/csv.h"
+#include "common/json.h"
 #include "core/datagen.h"
+#include "core/delta.h"
 #include "obs/metrics.h"
+#include "serve/protocol.h"
 
 namespace vadasa::serve {
 namespace {
@@ -243,18 +246,23 @@ TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
   const uint64_t warmups_before = warmups->value();
   const uint64_t hits_before = hits->value();
 
-  // One shared table, several sessions with the same semantics: the batch
-  // computes group statistics once, every other job adopts them.
-  auto table = std::make_shared<const core::MicrodataTable>(Figure5Microdata());
+  // Several sessions over one dataset version with the same semantics: the
+  // version builds its group statistics once, every other job adopts them.
+  DatasetRegistry datasets;
+  ASSERT_TRUE(datasets.Register("fig5", Figure5Microdata()).ok());
+  auto version = datasets.Load("fig5");
+  ASSERT_TRUE(version.ok());
   SchedulerOptions options;
   options.workers = 2;
   options.start_paused = true;
   JobScheduler scheduler(options);
   std::vector<uint64_t> ids;
   for (int i = 0; i < 6; ++i) {
-    auto session = api::Session::FromShared(table, nullptr, {});
+    auto session = datasets.OpenSession("fig5", {});
     ASSERT_TRUE(session.ok());
-    auto id = scheduler.Submit(RiskJob(std::move(*session)));
+    JobRequest request = RiskJob(std::move(*session));
+    request.dataset = *version;
+    auto id = scheduler.Submit(std::move(request));
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
@@ -267,6 +275,105 @@ TEST(JobSchedulerTest, WarmupCoalescesAcrossJobsOnSharedDataset) {
   }
   EXPECT_EQ(warmups->value() - warmups_before, 1u);
   EXPECT_EQ(hits->value() - hits_before, 5u);
+}
+
+/// A risk job over the registry's current version of `name`.
+JobRequest VersionRiskJob(DatasetRegistry* datasets, const std::string& name) {
+  auto version = datasets->Load(name);
+  EXPECT_TRUE(version.ok()) << version.status().ToString();
+  auto session = api::Session::FromShared((*version)->table,
+                                          (*version)->dictionary, {});
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  JobRequest request = RiskJob(std::move(*session));
+  request.dataset = *version;
+  return request;
+}
+
+std::vector<double> ServedRisks(JobScheduler* scheduler, JobRequest request) {
+  auto id = scheduler->Submit(std::move(request));
+  EXPECT_TRUE(id.ok()) << id.status().ToString();
+  if (!id.ok()) return {};
+  auto result = scheduler->Wait(*id);
+  EXPECT_TRUE(result.ok());
+  if (!result.ok()) return {};
+  EXPECT_EQ(result->state, JobState::kDone) << result->status.ToString();
+  return result->risk.tuple_risks;
+}
+
+TEST(JobSchedulerTest, ReplacedVersionIsFreedWithItsLastJob) {
+  obs::Counter* warmups =
+      obs::MetricsRegistry::Global().counter("serve.batch.warmups");
+  const uint64_t warmups_before = warmups->value();
+  DatasetRegistry datasets;
+  ASSERT_TRUE(datasets.Register("feed", Figure5Microdata()).ok());
+  // One worker: once a later job has run, every earlier job has also
+  // dropped its hold on its dataset version.
+  SchedulerOptions options;
+  options.workers = 1;
+  JobScheduler scheduler(options);
+  Protocol protocol(&datasets, &scheduler);
+
+  // Version 1 is warmed by a submit through the protocol.
+  bool shutdown = false;
+  auto ack = Json::Parse(protocol.Handle(
+      R"({"op":"submit","dataset":"feed","action":"risk"})", &shutdown));
+  ASSERT_TRUE(ack.ok() && ack->GetBool("ok", false));
+  auto done = Json::Parse(protocol.Handle(
+      R"({"op":"result","id":)" + std::to_string(ack->GetInt("id", 0)) + "}",
+      &shutdown));
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done->GetString("state", ""), "done");
+
+  std::weak_ptr<const core::MicrodataTable> v1_table;
+  std::weak_ptr<const core::GroupStats> v1_stats;
+  size_t num_columns = 0;
+  {
+    auto v1 = datasets.Load("feed");
+    ASSERT_TRUE(v1.ok());
+    v1_table = (*v1)->table;
+    num_columns = (*v1)->table->num_columns();
+    auto index = (*v1)->warm.Ready(core::NullSemantics::kMaybeMatch);
+    ASSERT_NE(index, nullptr);
+    v1_stats = std::shared_ptr<const core::GroupStats>(index, &index->Stats());
+  }
+  // A job over version 1 that is still pending when version 2 lands.
+  JobRequest late = VersionRiskJob(&datasets, "feed");
+  core::DeltaBatchBuilder append(num_columns);
+  append.Append(core::Figure5Microdata().row(0));
+  auto batch = append.Build();
+  ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(datasets.ApplyDelta("feed", *batch).ok());
+  EXPECT_FALSE(v1_table.expired());
+  ServedRisks(&scheduler, std::move(late));
+  const std::vector<double> v2_risks =
+      ServedRisks(&scheduler, VersionRiskJob(&datasets, "feed"));
+  EXPECT_TRUE(v1_table.expired());
+  EXPECT_TRUE(v1_stats.expired());
+
+  // An update-only delta keeps the row count; version 3 must still be scored
+  // with its own statistics, never with an earlier version's.
+  core::MicrodataTable edited = *datasets.Load("feed").value()->table;
+  const size_t qi = edited.QuasiIdentifierColumns().front();
+  std::vector<Value> row = edited.row(1);
+  row[qi] = Value::String("only-in-version-3");
+  core::DeltaBatchBuilder update(num_columns);
+  update.Update(1, row);
+  auto update_batch = update.Build();
+  ASSERT_TRUE(update_batch.ok());
+  auto v3 = datasets.ApplyDelta("feed", *update_batch);
+  ASSERT_TRUE(v3.ok());
+  ASSERT_EQ((*v3)->table->num_rows(), edited.num_rows());
+  edited.set_cell(1, qi, Value::String("only-in-version-3"));
+  auto cold = api::Session::FromTable(edited, {});
+  ASSERT_TRUE(cold.ok());
+  auto want = cold->Risk();
+  ASSERT_TRUE(want.ok());
+  const std::vector<double> v3_risks =
+      ServedRisks(&scheduler, VersionRiskJob(&datasets, "feed"));
+  EXPECT_EQ(v3_risks, want->tuple_risks);
+  EXPECT_NE(v3_risks, v2_risks);
+  // Only version 1 was built cold; versions 2 and 3 inherited its state.
+  EXPECT_EQ(warmups->value() - warmups_before, 1u);
 }
 
 TEST(JobSchedulerTest, MetricsCountOutcomes) {

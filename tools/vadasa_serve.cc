@@ -1,9 +1,8 @@
 // vadasa_serve — the long-lived anonymization job service (docs/serving.md):
 //
 //   vadasa_serve --listen=unix:PATH|tcp:HOST:PORT [--socket=PATH]
-//                [--workers=N] [--shards=N] [--max-queue=N]
-//                [--cache-mb=N] [--no-cache]
-//                [--no-coalesce] [--trace=out.json] [--metrics=out.json]
+//                [--workers=N] [--max-queue=N] [--cache-mb=N] [--no-cache]
+//                [--trace=out.json] [--metrics=out.json]
 //                [--prom=out.prom] [--slow-log=out.ndjson] [--slow-ms=MS]
 //                [--sample-ms=MS] [--drain-ms=MS] [--max-in-flight=N]
 //                [--submit-rate=R] [--max-line-bytes=N] [--watchdog-ms=MS]
@@ -13,17 +12,18 @@
 // status / result / cancel / metrics / telemetry / shutdown (see
 // src/serve/protocol.h for the wire format; --socket=PATH is the legacy
 // spelling of --listen=unix:PATH). Datasets are loaded once by the registry
-// and shared across jobs; the scheduler bounds admission, honors per-job
-// priorities and deadlines, shards its worker pools by dataset (--shards) so
-// one hot dataset cannot starve the rest, and coalesces group-statistics
-// warmup across jobs that share a dataset. Repeated (dataset, policy)
-// requests are answered from a bounded LRU result cache (--cache-mb budget,
-// --no-cache disables; responses carry "cached":true) keyed on the dataset's
-// content fingerprint, so a reload with different bytes can never serve a
-// stale payload. Telemetry (docs/observability.md): every request line gets
-// a trace id echoed in its responses, --slow-log appends NDJSON lines for
-// jobs slower than --slow-ms, --sample-ms runs the background gauge sampler
-// (0 = off), and on shutdown --trace/--metrics/--prom export.
+// and shared across jobs; the scheduler runs one prioritized ready queue with
+// bounded admission and per-job deadlines. Each dataset version builds its
+// group statistics once and shares them with every job over it, and
+// apply_delta patches them into the next version instead of dropping them.
+// Repeated (dataset, policy) requests are answered from a bounded LRU result
+// cache (--cache-mb budget, --no-cache disables; responses carry
+// "cached":true) keyed on the dataset's content fingerprint, so a reload with
+// different bytes can never serve a stale payload. Telemetry
+// (docs/observability.md): every request line gets a trace id echoed in its
+// responses, --slow-log appends NDJSON lines for jobs slower than --slow-ms,
+// --sample-ms runs the background gauge sampler (0 = off), and on shutdown
+// --trace/--metrics/--prom export.
 //
 // Robustness (docs/robustness.md): --max-in-flight/--submit-rate meter each
 // connection (over-quota submits get Unavailable + retry_after_ms),
@@ -71,11 +71,9 @@ int main(int argc, char** argv) {
   parser.Path("socket", "Unix socket path (legacy alias of --listen=unix:PATH)")
       .Path("listen", "listen spec: unix:PATH or tcp:HOST:PORT (0 = ephemeral)")
       .Int("workers", "executor threads", 1, 256)
-      .Int("shards", "dataset-hashed worker-pool shards (<= workers)", 1, 256)
       .Int("max-queue", "admission queue bound (reject beyond)", 1, 1 << 20)
       .Int("cache-mb", "result-cache byte budget, MiB", 1, 1 << 20)
       .Bool("no-cache", "disable the result cache")
-      .Bool("no-coalesce", "disable shared warmup batching")
       .Path("trace", "write a Chrome trace_event JSON file at shutdown")
       .Path("metrics", "write a metrics registry JSON dump at shutdown")
       .Path("prom", "write a Prometheus text exposition at shutdown")
@@ -148,10 +146,8 @@ int main(int argc, char** argv) {
   registry.set_result_cache(cache.get());
   serve::SchedulerOptions scheduler_options;
   scheduler_options.workers = static_cast<size_t>(flags->GetInt("workers", 2));
-  scheduler_options.shards = static_cast<size_t>(flags->GetInt("shards", 1));
   scheduler_options.max_queue =
       static_cast<size_t>(flags->GetInt("max-queue", 64));
-  scheduler_options.coalesce_warmup = !flags->GetBool("no-coalesce");
   scheduler_options.result_cache = cache.get();
   scheduler_options.slow_log = slow_log.get();
   scheduler_options.watchdog_interval_ms =
@@ -189,11 +185,10 @@ int main(int argc, char** argv) {
   // Print the resolved endpoint (an ephemeral tcp:HOST:0 bind resolves to
   // its real port) so harnesses can scrape it from stderr.
   std::fprintf(stderr,
-               "vadasa_serve: listening on %s (%zu workers, %zu shards, "
-               "queue %zu, cache %s)\n",
+               "vadasa_serve: listening on %s (%zu workers, queue %zu, "
+               "cache %s)\n",
                server.listen_spec().ToString().c_str(),
-               scheduler_options.workers, scheduler.shard_count(),
-               scheduler_options.max_queue,
+               scheduler_options.workers, scheduler_options.max_queue,
                cache != nullptr
                    ? (std::to_string(cache->byte_budget() >> 20) + " MiB").c_str()
                    : "off");
